@@ -48,7 +48,7 @@ if plt is not None:
     fig, (top, bottom) = plt.subplots(2, 1, figsize=(8, 8), sharex=True)
     for uid, u in users:
         top.plot(rates, u.value(rates), label=uid)
-        bottom.semilogy(rates[1:], u.log_slope(rates[1:]), label=uid)
+        bottom.semilogy(rates[1:], [u.log_slope(r) for r in rates[1:]], label=uid)
     top.set_ylabel("satisfaction U(r)")
     top.legend(ncol=2)
     bottom.set_ylabel("d/dr log U(r)")

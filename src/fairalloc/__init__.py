@@ -20,11 +20,7 @@ from .protocol import (
     ExponentialDecay,
     IterationRecord,
     RationalDecay,
-    apply_decay,
-    check_convergence,
-    compute_shadow_price,
     run_allocation,
-    user_respond,
 )
 from .sim import (
     FluctuationReport,
@@ -57,10 +53,6 @@ __all__ = [
     "RationalDecay",
     "CONVERGED",
     "ITERATION_CAP",
-    "compute_shadow_price",
-    "user_respond",
-    "apply_decay",
-    "check_convergence",
     "run_allocation",
     "Scenario",
     "SweepResult",

@@ -12,10 +12,10 @@ Round n with outstanding bids w_i(n):
 4. the loop exits once no bid moved by more than delta, or gives up at
    the iteration cap.
 
-Bids start at ``initial_bid`` (bids before round one count as zero, so
-the first round always runs). At a fixed point the budget clears:
-summing w_i = p*r_i and p = sum(w)/R gives sum(r_i) = R, and every
-non-pinned user equalizes its log-utility slope with the price.
+Bids start at ``initial_bid``, and round one's moves are measured from
+it. At a fixed point the budget clears: summing w_i = p*r_i and
+p = sum(w)/R gives sum(r_i) = R, and every non-pinned user equalizes
+its log-utility slope with the price.
 
 The undamped loop does not always settle. Below its inflection a
 sigmoid's log U is nearly linear (its slope hugs the constant a), so
@@ -32,7 +32,6 @@ import math
 from dataclasses import dataclass, field
 
 from .solver import SolverConfig, solve_user_rate
-from .utility import UtilityFunction
 
 __all__ = [
     "ExponentialDecay",
@@ -43,10 +42,6 @@ __all__ = [
     "AllocationResult",
     "CONVERGED",
     "ITERATION_CAP",
-    "compute_shadow_price",
-    "user_respond",
-    "apply_decay",
-    "check_convergence",
     "run_allocation",
 ]
 
@@ -62,8 +57,8 @@ class ExponentialDecay:
     l2: float = 10.0
 
     def __post_init__(self):
-        if self.l1 <= 0.0 or self.l2 <= 0.0:
-            raise ValueError(f"decay constants must be positive, got l1={self.l1}, l2={self.l2}")
+        if not all(x > 0.0 and math.isfinite(x) for x in (self.l1, self.l2)):
+            raise ValueError(f"decay constants must be positive and finite, got l1={self.l1}, l2={self.l2}")
 
     def step_limit(self, n: int) -> float:
         return self.l1 * math.exp(-n / self.l2)
@@ -76,8 +71,8 @@ class RationalDecay:
     l3: float = 5.0
 
     def __post_init__(self):
-        if self.l3 <= 0.0:
-            raise ValueError(f"decay constant must be positive, got l3={self.l3}")
+        if not (self.l3 > 0.0 and math.isfinite(self.l3)):
+            raise ValueError(f"decay constant must be positive and finite, got l3={self.l3}")
 
     def step_limit(self, n: int) -> float:
         return self.l3 / n
@@ -95,12 +90,12 @@ class AllocationConfig:
     solver: SolverConfig = field(default_factory=SolverConfig)
 
     def __post_init__(self):
-        if self.delta <= 0.0:
-            raise ValueError(f"delta must be positive, got {self.delta}")
+        if not (self.delta > 0.0 and math.isfinite(self.delta)):
+            raise ValueError(f"delta must be positive and finite, got {self.delta}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
-        if self.initial_bid <= 0.0:
-            raise ValueError(f"initial_bid must be positive, got {self.initial_bid}")
+        if not (self.initial_bid > 0.0 and math.isfinite(self.initial_bid)):
+            raise ValueError(f"initial_bid must be positive and finite, got {self.initial_bid}")
 
 
 @dataclass(frozen=True)
@@ -128,91 +123,60 @@ class AllocationResult:
         return self.status == CONVERGED
 
 
-def compute_shadow_price(bids, total_rate: float) -> float:
-    """Price per unit rate: total outstanding bids divided by the cell rate."""
-    if total_rate <= 0.0 or not math.isfinite(total_rate):
-        raise ValueError(f"total rate must be positive and finite, got {total_rate}")
-    bids = list(bids)
-    if any(w < 0.0 for w in bids):
-        raise ValueError("bids must be nonnegative")
-    total = sum(bids)
-    if total <= 0.0:
-        raise ValueError("all bids are zero; the price would degenerate to 0")
-    return total / total_rate
-
-
-def user_respond(u: UtilityFunction, price: float, config: AllocationConfig) -> tuple[float, float]:
-    """One user's reply to a price: its optimal rate and the bid price*rate."""
-    rate = solve_user_rate(u, price, config.solver)
-    return rate, price * rate
-
-
-def apply_decay(new_bid: float, old_bid: float, n: int, policy: DecayPolicy | None) -> float:
-    """Clamp a bid update to the policy's step envelope at round n.
-
-    Moves exceeding dw(n) are cut back to old_bid +/- dw(n); smaller
-    moves (and every move under policy None) pass through untouched.
-    """
-    if n < 1:
-        raise ValueError(f"iteration index must be >= 1, got {n}")
-    if policy is None:
-        return new_bid
-    limit = policy.step_limit(n)
-    step = new_bid - old_bid
-    if abs(step) > limit:
-        return old_bid + math.copysign(limit, step)
-    return new_bid
-
-
-def check_convergence(bids, prev_bids, delta: float) -> bool:
-    """True once no bid moved by more than delta (max-norm)."""
-    bids = list(bids)
-    prev_bids = list(prev_bids)
-    if len(bids) != len(prev_bids):
-        raise ValueError(f"bid vectors differ in length: {len(bids)} vs {len(prev_bids)}")
-    return max(abs(w - w_prev) for w, w_prev in zip(bids, prev_bids)) <= delta
-
-
 def run_allocation(utilities, total_rate: float, config: AllocationConfig = AllocationConfig()) -> AllocationResult:
     """Iterate the bidding loop until the bids settle or the cap is hit.
 
     A pure function of its arguments: identical inputs give identical
     trajectories. Users whose rate ever pinned at the solver's lower
-    bracket are reported in ``clamped_users``.
+    bracket are reported in ``clamped_users``. A cell rate below the
+    users' pinned floor (each user holds at least ``bracket_lo``) has no
+    equilibrium and is rejected up front.
     """
     utilities = tuple(utilities)
     if not utilities:
         raise ValueError("need at least one utility")
-    bids = (config.initial_bid,) * len(utilities)
-    bracket_lo = config.solver.bracket_lo
+    if not (total_rate > 0.0 and math.isfinite(total_rate)):
+        raise ValueError(f"total rate must be positive and finite, got {total_rate}")
+    solver = config.solver
+    floor = len(utilities) * solver.bracket_lo
+    if total_rate < floor:
+        raise ValueError(
+            f"total rate R={total_rate} is below the pinned floor {floor} "
+            f"({len(utilities)} users x bracket_lo {solver.bracket_lo})"
+        )
+    decay = config.decay
+    bids = [config.initial_bid] * len(utilities)
     records: list[IterationRecord] = []
     clamped: set[int] = set()
     status = ITERATION_CAP
-    iterations = config.max_iter
     for n in range(1, config.max_iter + 1):
-        price = compute_shadow_price(bids, total_rate)
+        price = sum(bids) / total_rate
+        limit = None if decay is None else decay.step_limit(n)
         rates = []
         new_bids = []
-        for i, u in enumerate(utilities):
-            rate, bid = user_respond(u, price, config)
-            if rate == bracket_lo:
+        for i, (u, old_bid) in enumerate(zip(utilities, bids)):
+            rate = solve_user_rate(u, price, solver)
+            if rate == solver.bracket_lo:
                 clamped.add(i)
+            bid = price * rate
+            # the envelope cuts a move larger than dw(n) back to old_bid +/- dw(n)
+            if limit is not None and abs(bid - old_bid) > limit:
+                bid = old_bid + math.copysign(limit, bid - old_bid)
             rates.append(rate)
-            new_bids.append(apply_decay(bid, bids[i], n, config.decay))
+            new_bids.append(bid)
         records.append(IterationRecord(n, price, tuple(new_bids), tuple(rates)))
-        settled = check_convergence(new_bids, bids, config.delta)
-        bids = tuple(new_bids)
-        if settled:
+        moved = max(abs(w - w_prev) for w, w_prev in zip(new_bids, bids))
+        bids = new_bids
+        if moved <= config.delta:
             status = CONVERGED
-            iterations = n
             break
     last = records[-1]
     return AllocationResult(
         status=status,
         final_rates=last.rates,
-        final_bids=bids,
+        final_bids=last.bids,
         final_price=last.price,
-        iterations_used=iterations,
+        iterations_used=len(records),
         trajectory=tuple(records),
         clamped_users=frozenset(clamped),
     )

@@ -18,21 +18,30 @@ Document layout (config keys all optional, falling back to defaults):
       }
     }
 
-Unknown keys are rejected, and every diagnostic names the offending
-field (or the line/column for malformed JSON).
+The numbers in a utility's ``params``, a decay policy, ``solver`` and
+``config`` are the numeric init fields of the dataclass each one builds,
+read and written from ``dataclasses.fields()``, so every field
+round-trips. A field without a default is required. Unknown keys are
+rejected, and every diagnostic names the offending field (or the
+line/column for malformed JSON).
 """
 
 from __future__ import annotations
 
+import functools
 import json
+from dataclasses import MISSING, fields
 from pathlib import Path
 
-from .protocol import AllocationConfig, DecayPolicy, ExponentialDecay, RationalDecay
+from .protocol import AllocationConfig, ExponentialDecay, RationalDecay
 from .sim import Scenario
 from .solver import SolverConfig
 from .utility import LogUtility, SigmoidUtility
 
 __all__ = ["ScenarioFormatError", "parse_scenario", "load_scenario", "scenario_to_dict"]
+
+_UTILITY_TYPES = {"sigmoid": SigmoidUtility, "log": LogUtility}
+_DECAY_TYPES = {"none": None, "exponential": ExponentialDecay, "rational": RationalDecay}
 
 
 class ScenarioFormatError(ValueError):
@@ -49,9 +58,8 @@ def _check_keys(mapping, path: str, required=(), optional=()):
     for key in required:
         if key not in mapping:
             _fail(path, f"missing required key {key!r}")
-    allowed = set(required) | set(optional)
     for key in mapping:
-        if key not in allowed:
+        if key not in required and key not in optional:
             _fail(f"{path}.{key}", "unknown key")
 
 
@@ -67,87 +75,63 @@ def _integer(value, path: str) -> int:
     return value
 
 
-def _parse_user(doc, path: str) -> tuple[str, SigmoidUtility | LogUtility]:
+_READERS = {"float": _number, "int": _integer}  # annotation -> reader
+
+
+@functools.cache
+def _number_fields(cls) -> tuple[dict, tuple[str, ...]]:
+    """The reader of each numeric init field of ``cls``, and the names of those without a default."""
+    numeric = [f for f in fields(cls) if f.init and f.type in _READERS]
+    readers = {f.name: _READERS[f.type] for f in numeric}
+    required = tuple(f.name for f in numeric if f.default is MISSING and f.default_factory is MISSING)
+    return readers, required
+
+
+def _build(cls, doc, path: str, nested=None, tag=()):
+    """Construct ``cls`` from the numbers in ``doc`` and the fields ``nested`` parses.
+
+    ``nested`` maps a field name to the parser of its sub-document; ``tag``
+    names keys the caller has read already.
+    """
+    nested = nested or {}
+    readers, required = _number_fields(cls)
+    _check_keys(doc, path, required, (*readers, *nested, *tag))
+    kwargs = {name: read(doc[name], f"{path}.{name}") for name, read in readers.items() if name in doc}
+    for name, parse in nested.items():
+        if name in doc:
+            kwargs[name] = parse(doc[name], f"{path}.{name}")
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        _fail(path, str(exc))
+
+
+def _class_of(doc, path: str, types: dict):
+    """The entry of ``types`` that ``doc["type"]`` names."""
+    if not isinstance(doc, dict) or "type" not in doc:
+        _fail(path, "expected an object with a 'type' key")
+    kind = doc["type"]
+    if not isinstance(kind, str) or kind not in types:
+        _fail(f"{path}.type", f"unknown type {kind!r} (expected one of {', '.join(map(repr, types))})")
+    return types[kind]
+
+
+def _parse_user(doc, path: str):
     _check_keys(doc, path, required=("id", "type", "params"))
     if not isinstance(doc["id"], str) or not doc["id"]:
         _fail(f"{path}.id", f"expected a nonempty string, got {doc['id']!r}")
-    kind = doc["type"]
-    params = doc["params"]
-    try:
-        if kind == "sigmoid":
-            _check_keys(params, f"{path}.params", required=("a", "b"))
-            utility = SigmoidUtility(
-                a=_number(params["a"], f"{path}.params.a"),
-                b=_number(params["b"], f"{path}.params.b"),
-            )
-        elif kind == "log":
-            _check_keys(params, f"{path}.params", required=("k", "r_max"))
-            utility = LogUtility(
-                k=_number(params["k"], f"{path}.params.k"),
-                r_max=_number(params["r_max"], f"{path}.params.r_max"),
-            )
-        else:
-            _fail(f"{path}.type", f"unknown utility type {kind!r} (expected 'sigmoid' or 'log')")
-    except ScenarioFormatError:
-        raise
-    except ValueError as exc:
-        _fail(f"{path}.params", str(exc))
-    return doc["id"], utility
+    return doc["id"], _build(_class_of(doc, path, _UTILITY_TYPES), doc["params"], f"{path}.params")
 
 
-def _parse_decay(doc, path: str) -> DecayPolicy | None:
-    _check_keys(doc, path, required=("type",), optional=("l1", "l2", "l3"))
-    kind = doc["type"]
-    try:
-        if kind == "none":
-            _check_keys(doc, path, required=("type",))
-            return None
-        if kind == "exponential":
-            _check_keys(doc, path, required=("type",), optional=("l1", "l2"))
-            return ExponentialDecay(
-                l1=_number(doc["l1"], f"{path}.l1") if "l1" in doc else 5.0,
-                l2=_number(doc["l2"], f"{path}.l2") if "l2" in doc else 10.0,
-            )
-        if kind == "rational":
-            _check_keys(doc, path, required=("type",), optional=("l3",))
-            return RationalDecay(l3=_number(doc["l3"], f"{path}.l3") if "l3" in doc else 5.0)
-    except ScenarioFormatError:
-        raise
-    except ValueError as exc:
-        _fail(path, str(exc))
-    _fail(f"{path}.type", f"unknown decay type {kind!r} (expected 'none', 'exponential' or 'rational')")
+def _parse_decay(doc, path: str):
+    cls = _class_of(doc, path, _DECAY_TYPES)
+    if cls is None:
+        _check_keys(doc, path, required=("type",))
+        return None
+    return _build(cls, doc, path, tag=("type",))
 
 
-def _parse_solver(doc, path: str) -> SolverConfig:
-    _check_keys(doc, path, optional=("bracket_lo", "bracket_hi", "rel_tol"))
-    defaults = SolverConfig()
-    try:
-        return SolverConfig(
-            bracket_lo=_number(doc["bracket_lo"], f"{path}.bracket_lo") if "bracket_lo" in doc else defaults.bracket_lo,
-            bracket_hi=_number(doc["bracket_hi"], f"{path}.bracket_hi") if "bracket_hi" in doc else defaults.bracket_hi,
-            rel_tol=_number(doc["rel_tol"], f"{path}.rel_tol") if "rel_tol" in doc else defaults.rel_tol,
-        )
-    except ScenarioFormatError:
-        raise
-    except ValueError as exc:
-        _fail(path, str(exc))
-
-
-def _parse_config(doc, path: str) -> AllocationConfig:
-    _check_keys(doc, path, optional=("delta", "max_iter", "initial_bid", "decay", "solver"))
-    defaults = AllocationConfig()
-    try:
-        return AllocationConfig(
-            delta=_number(doc["delta"], f"{path}.delta") if "delta" in doc else defaults.delta,
-            max_iter=_integer(doc["max_iter"], f"{path}.max_iter") if "max_iter" in doc else defaults.max_iter,
-            initial_bid=_number(doc["initial_bid"], f"{path}.initial_bid") if "initial_bid" in doc else defaults.initial_bid,
-            decay=_parse_decay(doc["decay"], f"{path}.decay") if "decay" in doc else None,
-            solver=_parse_solver(doc["solver"], f"{path}.solver") if "solver" in doc else SolverConfig(),
-        )
-    except ScenarioFormatError:
-        raise
-    except ValueError as exc:
-        _fail(path, str(exc))
+_CONFIG_PARSERS = {"decay": _parse_decay, "solver": functools.partial(_build, SolverConfig)}
 
 
 def parse_scenario(doc) -> Scenario:
@@ -161,7 +145,7 @@ def parse_scenario(doc) -> Scenario:
     if not isinstance(doc["R_values"], list) or not doc["R_values"]:
         _fail("scenario.R_values", "expected a nonempty list")
     r_values = tuple(_number(r, f"R_values[{i}]") for i, r in enumerate(doc["R_values"]))
-    config = _parse_config(doc.get("config", {}), "config")
+    config = _build(AllocationConfig, doc.get("config", {}), "config", _CONFIG_PARSERS)
     try:
         return Scenario(name=doc["name"], users=users, r_values=r_values, config=config)
     except ValueError as exc:
@@ -180,37 +164,30 @@ def load_scenario(path) -> Scenario:
     return parse_scenario(doc)
 
 
+def _numbers(obj) -> dict:
+    return {name: getattr(obj, name) for name in _number_fields(type(obj))[0]}
+
+
+def _type_name(types: dict, obj) -> str:
+    return next(name for name, cls in types.items() if cls is type(obj))
+
+
 def scenario_to_dict(scenario: Scenario) -> dict:
     """Serialize a Scenario to the document layout parse_scenario accepts.
 
     Round trips exactly: parse_scenario(scenario_to_dict(s)) == s.
     """
-    users = []
-    for user_id, u in scenario.users:
-        if isinstance(u, SigmoidUtility):
-            users.append({"id": user_id, "type": "sigmoid", "params": {"a": u.a, "b": u.b}})
-        else:
-            users.append({"id": user_id, "type": "log", "params": {"k": u.k, "r_max": u.r_max}})
     cfg = scenario.config
     if cfg.decay is None:
         decay = {"type": "none"}
-    elif isinstance(cfg.decay, ExponentialDecay):
-        decay = {"type": "exponential", "l1": cfg.decay.l1, "l2": cfg.decay.l2}
     else:
-        decay = {"type": "rational", "l3": cfg.decay.l3}
+        decay = {"type": _type_name(_DECAY_TYPES, cfg.decay), **_numbers(cfg.decay)}
     return {
         "name": scenario.name,
-        "users": users,
+        "users": [
+            {"id": user_id, "type": _type_name(_UTILITY_TYPES, u), "params": _numbers(u)}
+            for user_id, u in scenario.users
+        ],
         "R_values": list(scenario.r_values),
-        "config": {
-            "delta": cfg.delta,
-            "max_iter": cfg.max_iter,
-            "initial_bid": cfg.initial_bid,
-            "decay": decay,
-            "solver": {
-                "bracket_lo": cfg.solver.bracket_lo,
-                "bracket_hi": cfg.solver.bracket_hi,
-                "rel_tol": cfg.solver.rel_tol,
-            },
-        },
+        "config": {**_numbers(cfg), "decay": decay, "solver": _numbers(cfg.solver)},
     }

@@ -16,8 +16,13 @@ Boundary handling:
   essentially nothing, so the rate pins to ``bracket_lo`` (returned
   exactly, which is how callers recognize a pinned user);
 * price below the slope at the upper bracket: the bracket doubles
-  until it encloses the root, up to ``hi_cap``; running past the cap
-  raises NoRootError, which signals a pathologically small price.
+  until it encloses the root, up to the fixed cap ``HI_CAP``; running
+  past the cap raises NoRootError, which signals a pathologically small
+  price.
+
+Bisection also stops after ``MAX_BISECTIONS`` halvings, which is what
+ends the solve when ``rel_tol`` (read from a scenario file) is too tight
+for double precision to meet.
 
 ``grid_oracle`` is the brute-force cross-check used by the tests: it
 scans an explicit rate grid for the best objective value and never
@@ -35,6 +40,10 @@ from .utility import UtilityFunction
 __all__ = ["SolverConfig", "NoRootError", "solve_user_rate", "grid_oracle"]
 
 
+HI_CAP = 1e9  # largest rate the upper bracket may grow to
+MAX_BISECTIONS = 200
+
+
 class NoRootError(RuntimeError):
     """Raised when bracket expansion exceeds the hard cap without enclosing a root."""
 
@@ -43,20 +52,16 @@ class NoRootError(RuntimeError):
 class SolverConfig:
     bracket_lo: float = 1e-3
     bracket_hi: float = 1e3
-    hi_cap: float = 1e9
     rel_tol: float = 1e-10
-    max_iter: int = 200
 
     def __post_init__(self):
-        if not 0.0 < self.bracket_lo < self.bracket_hi <= self.hi_cap:
+        if not 0.0 < self.bracket_lo < self.bracket_hi <= HI_CAP:
             raise ValueError(
-                f"need 0 < bracket_lo < bracket_hi <= hi_cap, got "
-                f"({self.bracket_lo}, {self.bracket_hi}, {self.hi_cap})"
+                f"need 0 < bracket_lo < bracket_hi <= {HI_CAP}, got "
+                f"({self.bracket_lo}, {self.bracket_hi})"
             )
         if not 0.0 < self.rel_tol < 1.0:
             raise ValueError(f"rel_tol must be in (0, 1), got {self.rel_tol}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
 
 
 _DEFAULT = SolverConfig()
@@ -77,12 +82,12 @@ def solve_user_rate(u: UtilityFunction, price: float, config: SolverConfig = _DE
         return lo  # pinned: even the smallest tradable rate is too expensive
     while u.log_slope(hi) > price:
         hi *= 2.0
-        if hi > config.hi_cap:
+        if hi > HI_CAP:
             raise NoRootError(
-                f"log-slope still above price {price} at rate {config.hi_cap}; "
+                f"log-slope still above price {price} at rate {HI_CAP}; "
                 "price too small to meet within the bracket cap"
             )
-    for _ in range(config.max_iter):
+    for _ in range(MAX_BISECTIONS):
         mid = 0.5 * (lo + hi)
         if hi - lo <= config.rel_tol * mid:
             break

@@ -19,9 +19,10 @@ The allocation algorithm only ever consumes the slope of log U, which
 for both families is strictly positive and strictly decreasing on
 (0, inf), so maximizing log U(r) - p*r is a concave scalar problem.
 
-All objects are immutable. Evaluation accepts a float (fast scalar
-path) or a numpy array (vectorized path); both paths use the same
-overflow-free rearrangements.
+All objects are immutable, and each method has one implementation,
+free of overflow for any parameters. ``value`` is numpy code: it takes a
+float or an array of rates, so a whole grid evaluates in one call.
+``log_slope`` is the solver's inner loop and takes one float rate.
 """
 
 from __future__ import annotations
@@ -68,17 +69,7 @@ class SigmoidUtility:
     #   r >= b:  U = (1 - e^(-ar)) / (1 + e^(-(ar-ab)))
 
     def value(self, rate):
-        """Satisfaction at ``rate``; exactly 0 at rate 0 and approaching 1 as rate grows."""
-        if isinstance(rate, (int, float)):
-            r = float(rate)
-            if r < 0.0:
-                raise ValueError("rate must be >= 0")
-            x = self.a * r - self._ab
-            growth = -math.expm1(-self.a * r)
-            if x < 0.0:
-                ex = math.exp(x)
-                return ex * growth / (1.0 + ex)
-            return growth / (1.0 + math.exp(-x))
+        """Satisfaction at ``rate`` (a float or an array); exactly 0 at rate 0 and approaching 1 as rate grows."""
         r = np.atleast_1d(np.asarray(rate, dtype=float))
         if np.any(r < 0.0):
             raise ValueError("rate must be >= 0")
@@ -89,42 +80,33 @@ class SigmoidUtility:
         ex = np.exp(x[below])
         out[below] = ex * growth[below] / (1.0 + ex)
         out[~below] = growth[~below] / (1.0 + np.exp(-x[~below]))
-        return out.reshape(np.shape(rate))
+        return out.reshape(np.shape(rate))[()]
 
     # The slope of log U equals a*m / ((1+m) * (1 - d*(1+m))) with
     # m = exp(-a(r-b)); rearranged so no intermediate overflows:
     #
-    #     a * (1 + e^(-ab)) / ((e^(-ab) + e^(-ar)) * expm1(ar))
+    #     a * (1 + e^(-ab)) / (e^(-ab) * expm1(ar) - expm1(-ar))
     #
     # and, once expm1(ar) would overflow, the same denominator with its
     # negligible e^(-ar) term dropped: e^(ar-ab) + (1 - e^(-ab)).
+    # Both denominator terms grow with r, so the rounded slope never rises
+    # (a product of a falling and a rising factor can, by an ulp, on the
+    # flat stretch).
     # Between roughly 2/a and b - 2/a the slope hugs the constant a
     # (log U is nearly linear there); it diverges like 1/r as r -> 0 and
     # decays like a*exp(-a(r-b)) past the inflection.
 
-    def log_slope(self, rate):
+    def log_slope(self, rate: float) -> float:
         """Slope of log U at ``rate`` > 0; strictly positive, strictly decreasing."""
-        if isinstance(rate, (int, float)):
-            r = float(rate)
-            if r <= 0.0:
-                raise ValueError("rate must be > 0")
-            ar = self.a * r
-            if ar <= 700.0:
-                denom = (self._t + math.exp(-ar)) * math.expm1(ar)
-            else:
-                x = ar - self._ab
-                denom = (math.exp(x) if x <= _EXP_MAX else math.inf) + (1.0 - self._t)
-            return self.a * (1.0 + self._t) / denom
-        r = np.atleast_1d(np.asarray(rate, dtype=float))
-        if np.any(r <= 0.0):
+        if rate <= 0.0:
             raise ValueError("rate must be > 0")
-        ar = self.a * r
-        out = np.empty_like(r)
-        direct = ar <= 700.0
-        out[direct] = (self._t + np.exp(-ar[direct])) * np.expm1(ar[direct])
-        with np.errstate(over="ignore"):
-            out[~direct] = np.exp(ar[~direct] - self._ab) + (1.0 - self._t)
-        return (self.a * (1.0 + self._t) / out).reshape(np.shape(rate))
+        ar = self.a * rate
+        if ar <= 700.0:
+            denom = self._t * math.expm1(ar) - math.expm1(-ar)
+        else:
+            x = ar - self._ab
+            denom = (math.exp(x) if x <= _EXP_MAX else math.inf) + (1.0 - self._t)
+        return self.a * (1.0 + self._t) / denom
 
 
 @dataclass(frozen=True)
@@ -139,37 +121,26 @@ class LogUtility:
             raise ValueError(f"log growth rate k must be positive and finite, got {self.k}")
         if not (self.r_max > 0.0 and math.isfinite(self.r_max)):
             raise ValueError(f"r_max must be positive and finite, got {self.r_max}")
-        object.__setattr__(self, "_denom", math.log1p(self.k * self.r_max))
+        # numpy's log1p, the one ``value`` uses, so that U(r_max) is exactly 1
+        object.__setattr__(self, "_denom", float(np.log1p(self.k * self.r_max)))
 
     @property
     def inflection_point(self) -> float:
         return 0.0
 
     def value(self, rate):
-        """Satisfaction at ``rate``; exactly 0 at rate 0 and exactly 1 at r_max."""
-        if isinstance(rate, (int, float)):
-            r = float(rate)
-            if r < 0.0:
-                raise ValueError("rate must be >= 0")
-            return math.log1p(self.k * r) / self._denom
+        """Satisfaction at ``rate`` (a float or an array); exactly 0 at rate 0 and exactly 1 at r_max."""
         r = np.asarray(rate, dtype=float)
         if np.any(r < 0.0):
             raise ValueError("rate must be >= 0")
         return np.log1p(self.k * r) / self._denom
 
-    def log_slope(self, rate):
+    def log_slope(self, rate: float) -> float:
         """Slope of log U at ``rate`` > 0: k / ((1 + k r) * log(1 + k r))."""
-        if isinstance(rate, (int, float)):
-            r = float(rate)
-            if r <= 0.0:
-                raise ValueError("rate must be > 0")
-            kr = self.k * r
-            return self.k / ((1.0 + kr) * math.log1p(kr))
-        r = np.asarray(rate, dtype=float)
-        if np.any(r <= 0.0):
+        if rate <= 0.0:
             raise ValueError("rate must be > 0")
-        kr = self.k * r
-        return self.k / ((1.0 + kr) * np.log1p(kr))
+        kr = self.k * rate
+        return self.k / ((1.0 + kr) * math.log1p(kr))
 
 
 UtilityFunction = SigmoidUtility | LogUtility

@@ -75,6 +75,15 @@ class TestRun:
         cfg.write_text(json.dumps(doc))
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
 
+    def test_non_finite_setting_exits_2(self, tmp_path, capsys):
+        doc = scenario_to_dict(canonical_scenario(r_values=(60.0,)))
+        doc["config"]["delta"] = float("nan")
+        cfg = tmp_path / "nan.json"
+        cfg.write_text(json.dumps(doc))  # written as the bare token NaN, which json accepts
+        assert "NaN" in cfg.read_text()
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert "delta" in capsys.readouterr().err
+
     def test_missing_config_exits_2(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path / "out")]) == 2
 

@@ -11,108 +11,147 @@ from fairalloc import (
     RationalDecay,
     SigmoidUtility,
     SolverConfig,
-    apply_decay,
     canonical_scenario,
-    check_convergence,
-    compute_shadow_price,
     run_allocation,
-    user_respond,
 )
 
 
+def first_round(utilities, total_rate, **config):
+    return run_allocation(utilities, total_rate, AllocationConfig(max_iter=1, **config)).trajectory[0]
+
+
+def max_move(bids, prev_bids):
+    return max(abs(w - w0) for w, w0 in zip(bids, prev_bids))
+
+
 class TestShadowPrice:
+    """The price each round announces: the outstanding bids over the cell rate."""
+
     def test_initial_bids_over_matching_rate(self):
-        assert compute_shadow_price([10.0] * 6, 60.0) == 1.0
+        assert first_round(canonical_scenario().utilities, 60.0).price == 1.0
 
     def test_doubling_the_rate_halves_the_price(self):
-        assert compute_shadow_price([10.0] * 6, 120.0) == 0.5
+        assert first_round(canonical_scenario().utilities, 120.0).price == 0.5
 
     def test_single_user_identity(self):
-        # p * R recovers the lone bid
-        assert compute_shadow_price([7.3], 41.0) * 41.0 == pytest.approx(7.3, rel=1e-15)
+        # p * R recovers the lone bid of the round before
+        res = run_allocation([LogUtility(k=3.0, r_max=100.0)], 41.0)
+        assert len(res.trajectory) > 2
+        for prev, rec in zip(res.trajectory, res.trajectory[1:]):
+            assert rec.price * 41.0 == pytest.approx(prev.bids[0], rel=1e-15)
 
-    @pytest.mark.parametrize("rate", [0.0, -5.0, math.inf])
+    @pytest.mark.parametrize("rate", [0.0, -5.0, math.inf, math.nan])
     def test_rejects_bad_total_rate(self, rate):
-        with pytest.raises(ValueError):
-            compute_shadow_price([10.0], rate)
-
-    def test_rejects_all_zero_bids(self):
-        with pytest.raises(ValueError):
-            compute_shadow_price([0.0, 0.0], 60.0)
-
-    def test_rejects_negative_bids(self):
-        with pytest.raises(ValueError):
-            compute_shadow_price([10.0, -1.0], 60.0)
+        with pytest.raises(ValueError, match="total rate"):
+            run_allocation([LogUtility(k=3.0, r_max=100.0)], rate)
 
 
 class TestUserRespond:
+    """Each user answers a price with its optimal rate and the bid price * rate."""
+
     def test_log_closed_form(self):
         u = LogUtility(k=0.5, r_max=100.0)
-        price = 0.5 / (2.0 * math.log(2.0))
-        rate, bid = user_respond(u, price, AllocationConfig())
-        assert rate == pytest.approx(2.0, rel=1e-9)
-        assert bid == pytest.approx(2.0 * price, rel=1e-9)
+        price = 0.5 / (2.0 * math.log(2.0))  # the log-slope at r = 2
+        rec = first_round([u], 10.0, initial_bid=10.0 * price)
+        assert rec.rates[0] == pytest.approx(2.0, rel=1e-9)
+        assert rec.bids[0] == pytest.approx(2.0 * price, rel=1e-9)
 
     def test_sigmoid_at_inflection_price(self):
         u = SigmoidUtility(a=5.0, b=10.0)
         price = u.log_slope(10.0)
-        rate, bid = user_respond(u, price, AllocationConfig())
-        assert rate == pytest.approx(10.0, rel=1e-9)
-        assert bid == pytest.approx(10.0 * price, rel=1e-9)
+        rec = first_round([u], 10.0, initial_bid=10.0 * price)
+        assert rec.rates[0] == pytest.approx(10.0, rel=1e-9)
+        assert rec.bids[0] == pytest.approx(10.0 * price, rel=1e-9)
 
     def test_bid_is_price_times_rate_exactly(self, table_utilities):
-        cfg = AllocationConfig()
         for u in table_utilities.values():
-            for price in (0.05, 0.7, 3.1):
-                rate, bid = user_respond(u, price, cfg)
-                assert bid == price * rate
+            for total_rate in (5.0, 60.0, 300.0):
+                res = run_allocation([u], total_rate, AllocationConfig(max_iter=5))
+                for rec in res.trajectory:
+                    assert rec.bids[0] == rec.price * rec.rates[0]
 
 
 class TestApplyDecay:
+    """The envelope cuts a bid move larger than dw(n) back to old_bid +/- dw(n)."""
+
+    @staticmethod
+    def assert_round_one_clipped(decay):
+        users = canonical_scenario().utilities
+        targets = first_round(users, 60.0).bids  # the same price with or without decay
+        damped = first_round(users, 60.0, decay=decay).bids
+        limit = decay.step_limit(1)
+        moves = [t - 10.0 for t in targets]
+        assert any(m > limit for m in moves) and any(m < -limit for m in moves)
+        for target, move, bid in zip(targets, moves, damped):
+            assert bid == (10.0 + math.copysign(limit, move) if abs(move) > limit else target)
+
     def test_exponential_clips_large_step(self):
         # envelope at n=1 is 5 e^-0.1
-        damped = apply_decay(20.0, 10.0, 1, ExponentialDecay(l1=5.0, l2=10.0))
-        assert damped == pytest.approx(14.524187090179797, rel=1e-15)
-        assert damped == 10.0 + 5.0 * math.exp(-0.1)
-
-    def test_small_step_passes_through(self):
-        assert apply_decay(10.001, 10.0, 1, ExponentialDecay(l1=5.0, l2=10.0)) == 10.001
-        assert apply_decay(10.001, 10.0, 999, RationalDecay(l3=5.0)) == 10.001
-
-    def test_none_policy_is_identity(self):
-        assert apply_decay(123.4, 10.0, 1, None) == 123.4
+        self.assert_round_one_clipped(ExponentialDecay(l1=5.0, l2=10.0))
 
     def test_downward_steps_clip_symmetrically(self):
-        assert apply_decay(0.5, 10.0, 1, RationalDecay(l3=2.0)) == 8.0
+        # envelope at n=1 is 2: bids land exactly on 8 and 12
+        self.assert_round_one_clipped(RationalDecay(l3=2.0))
+
+    def test_small_step_passes_through(self):
+        users = canonical_scenario().utilities
+        targets = first_round(users, 60.0).bids
+        assert max_move(targets, (10.0,) * 6) < 18.0  # under both envelopes at n=1
+        for decay in (ExponentialDecay(l1=20.0, l2=10.0), RationalDecay(l3=20.0)):
+            assert first_round(users, 60.0, decay=decay).bids == targets
+
+    def test_none_policy_is_identity(self):
+        # an envelope that never binds leaves the whole run unchanged
+        users = canonical_scenario().utilities
+        wide = AllocationConfig(decay=ExponentialDecay(l1=1e9, l2=1e9))
+        assert run_allocation(users, 60.0, wide) == run_allocation(users, 60.0)
 
     def test_rational_envelope_shrinks_as_one_over_n(self):
         pol = RationalDecay(l3=6.0)
         assert pol.step_limit(1) == 6.0
         assert pol.step_limit(4) == 1.5
 
-    def test_rejects_bad_iteration_index(self):
-        with pytest.raises(ValueError):
-            apply_decay(1.0, 1.0, 0, None)
-
-    @pytest.mark.parametrize("make", [lambda: ExponentialDecay(l1=0.0), lambda: ExponentialDecay(l2=-1.0), lambda: RationalDecay(l3=0.0)])
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: ExponentialDecay(l1=0.0),
+            lambda: ExponentialDecay(l2=-1.0),
+            lambda: RationalDecay(l3=0.0),
+            lambda: ExponentialDecay(l1=math.nan),
+            lambda: ExponentialDecay(l2=math.inf),
+            lambda: RationalDecay(l3=math.inf),
+            lambda: RationalDecay(l3=math.nan),
+        ],
+    )
     def test_rejects_bad_constants(self, make):
         with pytest.raises(ValueError):
             make()
 
 
 class TestCheckConvergence:
+    """The loop stops at the first round in which no bid moved by more than delta."""
+
     def test_within_threshold(self):
-        assert check_convergence([10.0005] * 6, [10.0] * 6, 0.001)
+        res = run_allocation(canonical_scenario().utilities, 60.0)
+        assert res.converged
+        prev = res.trajectory[-2].bids
+        assert max_move(res.final_bids, prev) <= 0.001
 
     def test_single_coordinate_exceeding(self):
-        assert not check_convergence([10.01] + [10.0] * 5, [10.0] * 6, 0.001)
+        # every earlier round had a bid that moved by more than delta
+        res = run_allocation(canonical_scenario().utilities, 60.0)
+        prev = (10.0,) * 6
+        for rec in res.trajectory[:-1]:
+            assert max_move(rec.bids, prev) > 0.001
+            prev = rec.bids
 
     def test_zero_step_always_converged(self):
-        assert check_convergence([3.0, 4.0], [3.0, 4.0], 1e-300)
-
-    def test_rejects_length_mismatch(self):
-        with pytest.raises(ValueError):
-            check_convergence([1.0, 2.0], [1.0], 0.001)
+        # a cell exactly at the floor pins its lone user, who bids (w/R) * R = w again
+        lo = SolverConfig().bracket_lo
+        res = run_allocation([LogUtility(k=0.5, r_max=100.0)], lo, AllocationConfig(delta=1e-300))
+        assert res.status == CONVERGED
+        assert res.iterations_used == 1
+        assert res.final_bids == (10.0,)
 
 
 class TestRunAllocation:
@@ -187,6 +226,13 @@ class TestRunAllocation:
         last = res.trajectory[-1]
         assert all(bid == last.price * rate for bid, rate in zip(last.bids, last.rates))
 
+    @pytest.mark.parametrize("decay", [None, ExponentialDecay(l1=5.0, l2=10.0)])
+    def test_every_price_is_the_previous_bid_sum_over_the_rate(self, decay):
+        res = run_allocation(canonical_scenario().utilities, 50.0, AllocationConfig(decay=decay))
+        assert res.trajectory[0].price == 6 * 10.0 / 50.0
+        for prev, rec in zip(res.trajectory, res.trajectory[1:]):
+            assert rec.price * 50.0 == pytest.approx(sum(prev.bids), rel=1e-15)
+
     def test_trajectory_covers_every_round(self):
         res = run_allocation([LogUtility(k=3.0, r_max=100.0)], 10.0)
         assert [rec.n for rec in res.trajectory] == list(range(1, res.iterations_used + 1))
@@ -212,7 +258,24 @@ class TestRunAllocation:
         with pytest.raises(ValueError):
             run_allocation([], 10.0)
 
-    @pytest.mark.parametrize("kwargs", [{"delta": 0.0}, {"max_iter": 0}, {"initial_bid": 0.0}])
+    @pytest.mark.parametrize("total_rate", [0.005, 0.001])
+    def test_rejects_a_budget_below_the_pinned_floor(self, total_rate):
+        # six users each hold at least bracket_lo, so no R < 0.006 clears
+        with pytest.raises(ValueError, match=rf"R={total_rate}\b.*floor 0\.006"):
+            run_allocation(canonical_scenario().utilities, total_rate)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"delta": 0.0},
+            {"max_iter": 0},
+            {"initial_bid": 0.0},
+            {"delta": math.nan},
+            {"delta": math.inf},
+            {"initial_bid": math.inf},
+            {"initial_bid": math.nan},
+        ],
+    )
     def test_rejects_bad_config(self, kwargs):
         with pytest.raises(ValueError):
             AllocationConfig(**kwargs)

@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields, replace
 
 import pytest
 
@@ -111,9 +112,30 @@ class TestRoundTrip:
         assert parse_scenario(doc) == sc
 
     def test_survives_json_text(self):
-        from dataclasses import replace
-
         sc = canonical_scenario(r_values=[12.5, 60.0])
         sc = replace(sc, config=AllocationConfig(delta=0.0005, decay=RationalDecay(l3=3.0)))
         text = json.dumps(scenario_to_dict(sc))
         assert parse_scenario(json.loads(text)) == sc
+
+    @pytest.mark.parametrize("decay", [None, ExponentialDecay(l1=4.0, l2=8.0), RationalDecay(l3=2.5)])
+    def test_every_field_round_trips(self, decay):
+        config = AllocationConfig(
+            delta=0.002,
+            max_iter=300,
+            initial_bid=7.5,
+            decay=decay,
+            solver=SolverConfig(bracket_lo=0.01, bracket_hi=500.0, rel_tol=1e-8),
+        )
+        sc = replace(canonical_scenario(r_values=[30.0]), config=config)
+        doc = scenario_to_dict(sc)
+        assert parse_scenario(json.loads(json.dumps(doc))) == sc
+        emitted = [
+            (doc["users"][0]["params"], sc.users[0][1]),
+            (doc["users"][3]["params"], sc.users[3][1]),
+            (doc["config"], config),
+            (doc["config"]["solver"], config.solver),
+        ]
+        if decay is not None:
+            emitted.append((doc["config"]["decay"], decay))
+        for section, obj in emitted:
+            assert {f.name for f in fields(obj) if f.init} <= section.keys(), type(obj).__name__

@@ -13,6 +13,7 @@ from fairalloc import (
     grid_oracle,
     solve_user_rate,
 )
+from fairalloc.solver import HI_CAP, MAX_BISECTIONS
 
 
 class TestSolverConfig:
@@ -20,19 +21,18 @@ class TestSolverConfig:
         cfg = SolverConfig()
         assert cfg.bracket_lo == 1e-3
         assert cfg.bracket_hi == 1e3
-        assert cfg.hi_cap == 1e9
         assert cfg.rel_tol == 1e-10
-        assert cfg.max_iter == 200
+        assert (HI_CAP, MAX_BISECTIONS) == (1e9, 200)
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"bracket_lo": 0.0},
             {"bracket_lo": 10.0, "bracket_hi": 1.0},
-            {"bracket_hi": 2e9},  # above hi_cap
+            {"bracket_hi": 2e9},  # above HI_CAP
             {"rel_tol": 0.0},
             {"rel_tol": 1.5},
-            {"max_iter": 0},
+            {"rel_tol": math.nan},
         ],
     )
     def test_rejects_inconsistent_settings(self, kwargs):
@@ -79,6 +79,12 @@ class TestSolveUserRate:
         u = LogUtility(k=0.5, r_max=100.0)
         with pytest.raises(NoRootError):
             solve_user_rate(u, 1e-30)
+
+    def test_unreachable_tolerance_stops_at_the_bisection_cap(self):
+        # the bracket cannot shrink below one ulp of the root
+        u = LogUtility(k=0.5, r_max=100.0)
+        price = u.log_slope(17.3)
+        assert solve_user_rate(u, price, SolverConfig(rel_tol=1e-300)) == pytest.approx(17.3, rel=1e-12)
 
     @pytest.mark.parametrize("price", [0.0, -1.0, math.nan, math.inf])
     def test_rejects_bad_price(self, price):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fairalloc import LogUtility, SigmoidUtility, sigmoid_from_qoe
@@ -111,24 +111,15 @@ class TestLogSlope:
                 with pytest.raises(ValueError):
                     u.log_slope(bad)
 
-    def test_array_and_scalar_paths_agree(self, table_utilities):
-        rates = np.geomspace(1e-3, 1e3, 41)
-        for u in table_utilities.values():
-            from_array = u.log_slope(rates)
-            from_scalars = np.array([u.log_slope(float(r)) for r in rates])
-            assert _within_ulps(from_array, from_scalars)
-
     def test_strictly_decreasing_on_table_curves(self, table_utilities):
-        rates = np.geomspace(1e-3, 1e3, 201)
+        rates = [float(r) for r in np.geomspace(1e-3, 1e3, 201)]
         for name, u in table_utilities.items():
-            slopes = u.log_slope(rates)
-            assert np.all(np.diff(slopes) <= 0.0), name
+            slopes = [u.log_slope(r) for r in rates]
+            assert all(s2 <= s1 for s1, s2 in zip(slopes, slopes[1:])), name
             if name.startswith("Sig"):
                 # past a*r ~ 709 the slope underflows to 0 and ties
-                rates_live = rates[u.a * rates <= 700.0]
-                assert np.all(np.diff(u.log_slope(rates_live)) < 0.0), name
-            else:
-                assert np.all(np.diff(slopes) < 0.0), name
+                slopes = [s for r, s in zip(rates, slopes) if u.a * r <= 700.0]
+            assert all(s2 < s1 for s1, s2 in zip(slopes, slopes[1:])), name
 
     def test_matches_finite_difference_where_well_conditioned(self, table_utilities):
         # float64 central differences of log(value) are trustworthy only
@@ -225,6 +216,7 @@ class TestCurveProperties:
         r1=st.floats(1e-3, 400.0),
         factor=st.floats(1.01, 10.0),
     )
+    @example(a=7.09375, b=22.0, r1=8.0, factor=2.0)  # flat stretch: the exact slopes differ by far less than an ulp
     @settings(max_examples=150, deadline=None)
     def test_sigmoid_log_slope_never_increases(self, a, b, r1, factor):
         # non-strict: on the flat stretch below the inflection the slope
