@@ -5,7 +5,8 @@ Where it converges, scarcer cells price higher and the allocation
 clears the budget. Where it hits the iteration cap, the equilibrium
 price sits on a sigmoid's flat log-utility stretch and the bids
 two-cycle; the reported "price" there is just the last snapshot of the
-oscillation (the damped variant in damping_rescue.py settles these).
+oscillation. The damped variant in damping_rescue.py stops these runs
+too, but at most of them it freezes the bids short of the allocation.
 """
 
 from fairalloc import canonical_scenario, run_sweep

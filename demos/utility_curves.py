@@ -10,7 +10,7 @@ matplotlib is importable.
 
 import numpy as np
 
-from fairalloc import canonical_scenario
+from fairalloc import SigmoidUtility, canonical_scenario
 
 users = canonical_scenario().users
 rates = np.arange(0.0, 101.0)
@@ -29,7 +29,7 @@ for r in [1, 2, 5, 10, 15, 20, 30, 50, 100]:
     print(f"{r:5d} {row}")
 
 print()
-print("inflection points:", {uid: u.inflection_point for uid, u in users})
+print("sigmoid inflection rates b:", {uid: u.b for uid, u in users if isinstance(u, SigmoidUtility)})
 print("note the flat stretches: a sigmoid's log-slope hugs its steepness a")
 print("between roughly 2/a and b - 2/a, which is what makes the undamped")
 print("bidding loop cycle when the equilibrium price lands there.")

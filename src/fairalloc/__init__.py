@@ -5,8 +5,10 @@ A base station prices its total rate R from the users' bids
 log U(r) - p*r and the bid p*r, and the exchange repeats until the bids
 settle. Sigmoid utilities model inelastic real-time traffic,
 logarithmic utilities model elastic traffic, and an optional
-fluctuation-decay envelope keeps the loop convergent where the undamped
-exchange would cycle.
+fluctuation-decay envelope shrinks the largest bid step allowed each
+round. Where the undamped exchange would cycle, the envelope stops the
+run, but mostly by freezing the bids short of the allocation: on the
+reference sweep it clears the budget at 2 of the 9 cycling points.
 """
 
 from .utility import LogUtility, SigmoidUtility, UtilityFunction, sigmoid_from_qoe
@@ -23,13 +25,11 @@ from .protocol import (
     run_allocation,
 )
 from .sim import (
-    FluctuationReport,
     Scenario,
     SweepError,
     SweepResult,
     canonical_scenario,
     find_nonconvergent_rate,
-    fluctuation_probe,
     run_sweep,
 )
 from .scenario_io import ScenarioFormatError, load_scenario, parse_scenario, scenario_to_dict
@@ -57,10 +57,8 @@ __all__ = [
     "Scenario",
     "SweepResult",
     "SweepError",
-    "FluctuationReport",
     "canonical_scenario",
     "run_sweep",
-    "fluctuation_probe",
     "find_nonconvergent_rate",
     "ScenarioFormatError",
     "parse_scenario",

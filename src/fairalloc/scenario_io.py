@@ -14,7 +14,7 @@ Document layout (config keys all optional, falling back to defaults):
         "max_iter": 1000,
         "initial_bid": 10,
         "decay": {"type": "exponential", "l1": 5, "l2": 10},
-        "solver": {"bracket_lo": 0.001, "bracket_hi": 1000, "rel_tol": 1e-10}
+        "solver": {"bracket_lo": 0.001}
       }
     }
 

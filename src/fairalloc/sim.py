@@ -10,22 +10,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from .protocol import (
-    AllocationConfig,
-    AllocationResult,
-    ExponentialDecay,
-    run_allocation,
-)
+from .protocol import AllocationConfig, AllocationResult, run_allocation
 from .utility import LogUtility, SigmoidUtility, UtilityFunction
 
 __all__ = [
     "Scenario",
     "SweepResult",
-    "FluctuationReport",
     "SweepError",
     "canonical_scenario",
     "run_sweep",
-    "fluctuation_probe",
     "find_nonconvergent_rate",
 ]
 
@@ -78,13 +71,6 @@ class SweepResult:
     results: dict[float, AllocationResult]
 
 
-@dataclass(frozen=True)
-class FluctuationReport:
-    converged_plain: bool
-    converged_robust: bool
-    max_late_oscillation: float
-
-
 def canonical_scenario(r_values=None, config: AllocationConfig | None = None) -> Scenario:
     """The six-user reference population: three sigmoid, three logarithmic.
 
@@ -119,39 +105,6 @@ def run_sweep(scenario: Scenario) -> SweepResult:
         except (ValueError, RuntimeError) as exc:
             raise SweepError(r, exc) from exc
     return SweepResult(scenario=scenario, results=results)
-
-
-def _late_oscillation(result: AllocationResult) -> float:
-    """Largest max-norm bid step over the last tenth of a run's rounds."""
-    traj = result.trajectory
-    if len(traj) < 2:
-        return 0.0
-    steps = [
-        max(abs(w1 - w0) for w0, w1 in zip(a.bids, b.bids))
-        for a, b in zip(traj, traj[1:])
-    ]
-    window = max(1, len(steps) // 10)
-    return max(steps[-window:])
-
-
-def fluctuation_probe(scenario: Scenario, total_rate: float) -> FluctuationReport:
-    """Run one rate point twice, undamped and with the exponential envelope.
-
-    Reports whether each variant settled, plus the largest late bid step
-    of the undamped run (well above delta exactly when the bids locked
-    into a cycle instead of settling).
-    """
-    if total_rate <= 0.0:
-        raise ValueError(f"total rate must be positive, got {total_rate}")
-    plain_cfg = replace(scenario.config, decay=None)
-    robust_cfg = replace(scenario.config, decay=ExponentialDecay(l1=5.0, l2=10.0))
-    plain = run_allocation(scenario.utilities, total_rate, plain_cfg)
-    robust = run_allocation(scenario.utilities, total_rate, robust_cfg)
-    return FluctuationReport(
-        converged_plain=plain.converged,
-        converged_robust=robust.converged,
-        max_late_oscillation=_late_oscillation(plain),
-    )
 
 
 def find_nonconvergent_rate(

@@ -15,14 +15,16 @@ Boundary handling:
 * price above the slope at the lower bracket: the user can afford
   essentially nothing, so the rate pins to ``bracket_lo`` (returned
   exactly, which is how callers recognize a pinned user);
-* price below the slope at the upper bracket: the bracket doubles
-  until it encloses the root, up to the fixed cap ``HI_CAP``; running
-  past the cap raises NoRootError, which signals a pathologically small
-  price.
+* price below the slope at the upper bracket ``BRACKET_HI``: the
+  bracket doubles until it encloses the root, up to the fixed cap
+  ``HI_CAP``; running past the cap raises NoRootError, which signals a
+  pathologically small price.
 
-Bisection also stops after ``MAX_BISECTIONS`` halvings, which is what
-ends the solve when ``rel_tol`` (read from a scenario file) is too tight
-for double precision to meet.
+Bisection stops once the bracket is narrower than ``REL_TOL`` of its
+midpoint, or once the midpoint rounds onto an end of the bracket, so
+that no double lies strictly between them. Every other step shrinks the
+bracket strictly, so the loop always ends, and it ends at the root
+however far below ``BRACKET_HI`` (and above ``bracket_lo``) the root lies.
 
 ``grid_oracle`` is the brute-force cross-check used by the tests: it
 scans an explicit rate grid for the best objective value and never
@@ -31,6 +33,7 @@ touches the derivative.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,8 +43,9 @@ from .utility import UtilityFunction
 __all__ = ["SolverConfig", "NoRootError", "solve_user_rate", "grid_oracle"]
 
 
+BRACKET_HI = 1e3  # first upper bracket, doubled while the root lies above it
 HI_CAP = 1e9  # largest rate the upper bracket may grow to
-MAX_BISECTIONS = 200
+REL_TOL = 1e-10  # bracket width, relative to its midpoint, at which bisection stops
 
 
 class NoRootError(RuntimeError):
@@ -50,18 +54,11 @@ class NoRootError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    bracket_lo: float = 1e-3
-    bracket_hi: float = 1e3
-    rel_tol: float = 1e-10
+    bracket_lo: float = 1e-3  # smallest rate a user holds: the pinned floor
 
     def __post_init__(self):
-        if not 0.0 < self.bracket_lo < self.bracket_hi <= HI_CAP:
-            raise ValueError(
-                f"need 0 < bracket_lo < bracket_hi <= {HI_CAP}, got "
-                f"({self.bracket_lo}, {self.bracket_hi})"
-            )
-        if not 0.0 < self.rel_tol < 1.0:
-            raise ValueError(f"rel_tol must be in (0, 1), got {self.rel_tol}")
+        if not 0.0 < self.bracket_lo < BRACKET_HI:
+            raise ValueError(f"need 0 < bracket_lo < {BRACKET_HI}, got {self.bracket_lo}")
 
 
 _DEFAULT = SolverConfig()
@@ -71,13 +68,14 @@ def solve_user_rate(u: UtilityFunction, price: float, config: SolverConfig = _DE
     """Rate maximizing log U(r) - price*r, via bisection on the log-slope.
 
     Maintains the bracket invariant log_slope(lo) >= price >= log_slope(hi)
-    and stops once the bracket width falls below rel_tol of its midpoint.
+    and stops once the bracket width falls below REL_TOL of its midpoint
+    or the midpoint no longer lies strictly inside the bracket.
     Identical inputs give bit-identical results.
     """
-    if price <= 0.0 or not np.isfinite(price):
+    if price <= 0.0 or not math.isfinite(price):
         raise ValueError(f"price must be positive and finite, got {price}")
     lo = config.bracket_lo
-    hi = config.bracket_hi
+    hi = BRACKET_HI
     if u.log_slope(lo) < price:
         return lo  # pinned: even the smallest tradable rate is too expensive
     while u.log_slope(hi) > price:
@@ -87,15 +85,14 @@ def solve_user_rate(u: UtilityFunction, price: float, config: SolverConfig = _DE
                 f"log-slope still above price {price} at rate {HI_CAP}; "
                 "price too small to meet within the bracket cap"
             )
-    for _ in range(MAX_BISECTIONS):
+    while True:
         mid = 0.5 * (lo + hi)
-        if hi - lo <= config.rel_tol * mid:
-            break
+        if hi - lo <= REL_TOL * mid or not lo < mid < hi:
+            return mid
         if u.log_slope(mid) >= price:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
 
 
 def grid_oracle(u: UtilityFunction, price: float, r_grid) -> float:
@@ -104,7 +101,7 @@ def grid_oracle(u: UtilityFunction, price: float, r_grid) -> float:
     The grid must be nonempty, strictly ascending and entirely positive.
     Rates where U underflows to zero score -inf and can never win.
     """
-    if price <= 0.0 or not np.isfinite(price):
+    if price <= 0.0 or not math.isfinite(price):
         raise ValueError(f"price must be positive and finite, got {price}")
     grid = np.asarray(r_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:

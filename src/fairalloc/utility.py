@@ -58,10 +58,6 @@ class SigmoidUtility:
         object.__setattr__(self, "c", 1.0 + t)
         object.__setattr__(self, "d", t / (1.0 + t))
 
-    @property
-    def inflection_point(self) -> float:
-        return self.b
-
     # Evaluation splits at the inflection so every exponent is <= 0:
     # stable for any a*b, and U(0) is exact because expm1(-a*0) is
     # exactly zero.
@@ -123,10 +119,6 @@ class LogUtility:
             raise ValueError(f"r_max must be positive and finite, got {self.r_max}")
         # numpy's log1p, the one ``value`` uses, so that U(r_max) is exactly 1
         object.__setattr__(self, "_denom", float(np.log1p(self.k * self.r_max)))
-
-    @property
-    def inflection_point(self) -> float:
-        return 0.0
 
     def value(self, rate):
         """Satisfaction at ``rate`` (a float or an array); exactly 0 at rate 0 and exactly 1 at r_max."""

@@ -45,6 +45,7 @@ from fairalloc import (
     solve_user_rate,
 )
 from fairalloc.cli import main
+from late_rounds import late_step, late_window
 
 
 def _report(label: str, passed: bool, detail: str = ""):
@@ -55,21 +56,9 @@ def _report(label: str, passed: bool, detail: str = ""):
     assert passed, line
 
 
-def _late_window(result) -> int:
-    return max(1, (len(result.trajectory) - 1) // 10)
-
-
-def _late_step(result) -> float:
-    steps = [
-        max(abs(w1 - w0) for w0, w1 in zip(a.bids, b.bids))
-        for a, b in zip(result.trajectory, result.trajectory[1:])
-    ]
-    return max(steps[-_late_window(result):])
-
-
 def _late_prices(result) -> list[float]:
-    """Announced prices over the last tenth of the rounds (``_late_step``'s window)."""
-    return [rec.price for rec in result.trajectory[-_late_window(result):]]
+    """Announced prices over the last tenth of the rounds (``late_step``'s window)."""
+    return [rec.price for rec in result.trajectory[-late_window(result):]]
 
 
 def _demand(sc, price: float) -> float:
@@ -203,7 +192,7 @@ def test_04_fixed_point_budget_identity():
             ok &= _straddles(res, p_star)
             rows.append(
                 f"R={R:g}: g={g:.3g}, iteration cap after {res.iterations_used} rounds, "
-                f"late bid oscillation {_late_step(res):.2f}, late prices "
+                f"late bid oscillation {late_step(res):.2f}, late prices "
                 f"{min(late):.4g}..{max(late):.4g} round p*={p_star:.4g}"
             )
     _report(
@@ -255,10 +244,10 @@ def test_06_robustness_demonstration():
     else:
         plain = run_allocation(sc.utilities, cycling, plain_cfg)
         g = _loop_gain(sc, cycling, _equilibrium_price(sc, cycling))
-        clause2 = (not plain.converged) and _late_step(plain) > sc.config.delta and abs(g) > 1.0
+        clause2 = (not plain.converged) and late_step(plain) > sc.config.delta and abs(g) > 1.0
         clause2_msg = (
             f"search R=5..100 finds R={cycling:g}: plain cap with late oscillation "
-            f"{_late_step(plain):.2f}, g={g:.3g}"
+            f"{late_step(plain):.2f}, g={g:.3g}"
         )
 
     # damping rescues a cycling point only where it reaches the allocation;

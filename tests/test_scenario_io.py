@@ -43,14 +43,14 @@ class TestParse:
             "max_iter": 200,
             "initial_bid": 5,
             "decay": {"type": "exponential", "l1": 4, "l2": 8},
-            "solver": {"bracket_lo": 0.01, "bracket_hi": 500, "rel_tol": 1e-8},
+            "solver": {"bracket_lo": 0.01},
         }
         sc = parse_scenario(doc)
         assert sc.config.delta == 0.01
         assert sc.config.max_iter == 200
         assert sc.config.initial_bid == 5.0
         assert sc.config.decay == ExponentialDecay(l1=4.0, l2=8.0)
-        assert sc.config.solver == SolverConfig(bracket_lo=0.01, bracket_hi=500.0, rel_tol=1e-8)
+        assert sc.config.solver == SolverConfig(bracket_lo=0.01)
 
     def test_decay_variants(self):
         doc = minimal_doc()
@@ -75,6 +75,7 @@ class TestParse:
             (lambda d: d.update(config={"decay": {"type": "linear"}}), "config.decay.type"),
             (lambda d: d.update(config={"decay": {"type": "none", "l1": 5}}), "config.decay.l1"),
             (lambda d: d.update(config={"solver": {"hi_cap": 1}}), "config.solver.hi_cap"),
+            (lambda d: d.update(config={"solver": {"rel_tol": 1e-8}}), "config.solver.rel_tol"),
             (lambda d: d.update(extra=1), "scenario.extra"),
             (lambda d: d.update(config={"max_iter": 10.5}), "config.max_iter"),
         ],
@@ -124,7 +125,7 @@ class TestRoundTrip:
             max_iter=300,
             initial_bid=7.5,
             decay=decay,
-            solver=SolverConfig(bracket_lo=0.01, bracket_hi=500.0, rel_tol=1e-8),
+            solver=SolverConfig(bracket_lo=0.01),
         )
         sc = replace(canonical_scenario(r_values=[30.0]), config=config)
         doc = scenario_to_dict(sc)

@@ -13,26 +13,24 @@ from fairalloc import (
     grid_oracle,
     solve_user_rate,
 )
-from fairalloc.solver import HI_CAP, MAX_BISECTIONS
+from fairalloc.solver import BRACKET_HI, HI_CAP, REL_TOL
 
 
 class TestSolverConfig:
     def test_defaults(self):
         cfg = SolverConfig()
         assert cfg.bracket_lo == 1e-3
-        assert cfg.bracket_hi == 1e3
-        assert cfg.rel_tol == 1e-10
-        assert (HI_CAP, MAX_BISECTIONS) == (1e9, 200)
+        assert (BRACKET_HI, HI_CAP, REL_TOL) == (1e3, 1e9, 1e-10)
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"bracket_lo": 0.0},
-            {"bracket_lo": 10.0, "bracket_hi": 1.0},
-            {"bracket_hi": 2e9},  # above HI_CAP
-            {"rel_tol": 0.0},
-            {"rel_tol": 1.5},
-            {"rel_tol": math.nan},
+            {"bracket_lo": 1e3},  # not below BRACKET_HI
+            {"bracket_lo": math.nan},
+            {"bracket_lo": -1.0},
+            {"bracket_lo": math.inf},
+            {"bracket_lo": 2e9},  # above HI_CAP as well
         ],
     )
     def test_rejects_inconsistent_settings(self, kwargs):
@@ -80,11 +78,13 @@ class TestSolveUserRate:
         with pytest.raises(NoRootError):
             solve_user_rate(u, 1e-30)
 
-    def test_unreachable_tolerance_stops_at_the_bisection_cap(self):
-        # the bracket cannot shrink below one ulp of the root
+    @pytest.mark.parametrize("root", [1e-70, 1e-290])
+    def test_resolves_roots_far_below_the_first_bracket(self, root):
+        # linear bisection from [bracket_lo, BRACKET_HI] needs ~1000 halvings
+        # to come down to 1e-290; the solve must not stop on a step count
         u = LogUtility(k=0.5, r_max=100.0)
-        price = u.log_slope(17.3)
-        assert solve_user_rate(u, price, SolverConfig(rel_tol=1e-300)) == pytest.approx(17.3, rel=1e-12)
+        config = SolverConfig(bracket_lo=root * 1e-10)
+        assert solve_user_rate(u, u.log_slope(root), config) == pytest.approx(root, rel=1e-9)
 
     @pytest.mark.parametrize("price", [0.0, -1.0, math.nan, math.inf])
     def test_rejects_bad_price(self, price):

@@ -137,17 +137,6 @@ class TestLogSlope:
                 assert u.log_slope(r) == pytest.approx(fd, rel=1e-6), (name, r)
 
 
-class TestInflectionPoint:
-    def test_sigmoid_inflection_is_b(self):
-        assert SigmoidUtility(a=3.0, b=20.0).inflection_point == 20.0
-
-    def test_log_inflection_is_zero(self):
-        assert LogUtility(k=15.0, r_max=100.0).inflection_point == 0.0
-
-    def test_fitted_sigmoid_inflection(self):
-        assert sigmoid_from_qoe(200.0, 0.05, 740.0, 0.99).inflection_point == 470.0
-
-
 class TestQoeFit:
     def test_video_anchor_points(self):
         u = sigmoid_from_qoe(200.0, 0.05, 740.0, 0.99)
