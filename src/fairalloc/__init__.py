@@ -11,58 +11,20 @@ run, but mostly by freezing the bids short of the allocation: on the
 reference sweep it clears the budget at 2 of the 9 cycling points.
 """
 
-from .utility import LogUtility, SigmoidUtility, UtilityFunction, sigmoid_from_qoe
-from .solver import NoRootError, SolverConfig, grid_oracle, solve_user_rate
-from .protocol import (
-    CONVERGED,
-    ITERATION_CAP,
-    AllocationConfig,
-    AllocationResult,
-    DecayPolicy,
-    ExponentialDecay,
-    IterationRecord,
-    RationalDecay,
-    run_allocation,
-)
-from .sim import (
-    Scenario,
-    SweepError,
-    SweepResult,
-    canonical_scenario,
-    find_nonconvergent_rate,
-    run_sweep,
-)
-from .scenario_io import ScenarioFormatError, load_scenario, parse_scenario, scenario_to_dict
+from . import protocol, scenario_io, sim, solver, utility
+from .utility import *
+from .solver import *
+from .protocol import *
+from .sim import *
+from .scenario_io import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "SigmoidUtility",
-    "LogUtility",
-    "UtilityFunction",
-    "sigmoid_from_qoe",
-    "SolverConfig",
-    "NoRootError",
-    "solve_user_rate",
-    "grid_oracle",
-    "AllocationConfig",
-    "AllocationResult",
-    "IterationRecord",
-    "DecayPolicy",
-    "ExponentialDecay",
-    "RationalDecay",
-    "CONVERGED",
-    "ITERATION_CAP",
-    "run_allocation",
-    "Scenario",
-    "SweepResult",
-    "SweepError",
-    "canonical_scenario",
-    "run_sweep",
-    "find_nonconvergent_rate",
-    "ScenarioFormatError",
-    "parse_scenario",
-    "load_scenario",
-    "scenario_to_dict",
+    *utility.__all__,
+    *solver.__all__,
+    *protocol.__all__,
+    *sim.__all__,
+    *scenario_io.__all__,
     "__version__",
 ]

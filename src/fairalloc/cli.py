@@ -21,7 +21,7 @@ from .scenario_io import ScenarioFormatError, load_scenario
 from .sim import Scenario, SweepError, run_sweep
 from .utility import sigmoid_from_qoe
 
-__all__ = ["main", "cmd_run", "cmd_curves", "cmd_fit"]
+__all__ = ["main"]
 
 _CURVE_POINTS = 101  # r = 0, 1, ..., 100
 

@@ -13,9 +13,10 @@ Round n with outstanding bids w_i(n):
    the iteration cap.
 
 Bids start at ``initial_bid``, and round one's moves are measured from
-it. At a fixed point the budget clears: summing w_i = p*r_i and
-p = sum(w)/R gives sum(r_i) = R, and every non-pinned user equalizes
-its log-utility slope with the price.
+it. A run's result is its rounds: the final rates, bids and price are
+the last round's. At a fixed point the budget clears: summing
+w_i = p*r_i and p = sum(w)/R gives sum(r_i) = R, and every non-pinned
+user equalizes its log-utility slope with the price.
 
 The undamped loop does not always settle. It is the map
 F(p) = p*D(p)/R on the price, with D(p) = sum_i r_i(p) the total demand,
@@ -115,17 +116,36 @@ class IterationRecord:
 
 @dataclass(frozen=True)
 class AllocationResult:
+    """A run's status, its rounds and the users pinned in any of them.
+
+    The final state is the last round's: ``final_rates``, ``final_bids``
+    and ``final_price`` read ``trajectory[-1]``, and ``iterations_used``
+    is the number of rounds.
+    """
+
     status: str
-    final_rates: tuple[float, ...]
-    final_bids: tuple[float, ...]
-    final_price: float
-    iterations_used: int
     trajectory: tuple[IterationRecord, ...]
     clamped_users: frozenset[int]
 
     @property
     def converged(self) -> bool:
         return self.status == CONVERGED
+
+    @property
+    def final_rates(self) -> tuple[float, ...]:
+        return self.trajectory[-1].rates
+
+    @property
+    def final_bids(self) -> tuple[float, ...]:
+        return self.trajectory[-1].bids
+
+    @property
+    def final_price(self) -> float:
+        return self.trajectory[-1].price
+
+    @property
+    def iterations_used(self) -> int:
+        return len(self.trajectory)
 
 
 def run_allocation(utilities, total_rate: float, config: AllocationConfig = AllocationConfig()) -> AllocationResult:
@@ -150,38 +170,26 @@ def run_allocation(utilities, total_rate: float, config: AllocationConfig = Allo
             f"({len(utilities)} users x bracket_lo {solver.bracket_lo})"
         )
     decay = config.decay
-    bids = [config.initial_bid] * len(utilities)
+    bids = (config.initial_bid,) * len(utilities)
     records: list[IterationRecord] = []
-    clamped: set[int] = set()
     status = ITERATION_CAP
     for n in range(1, config.max_iter + 1):
         price = sum(bids) / total_rate
-        limit = None if decay is None else decay.step_limit(n)
-        rates = []
-        new_bids = []
-        for i, (u, old_bid) in enumerate(zip(utilities, bids)):
-            rate = solve_user_rate(u, price, solver)
-            if rate == solver.bracket_lo:
-                clamped.add(i)
-            bid = price * rate
+        rates = tuple([solve_user_rate(u, price, solver) for u in utilities])
+        new_bids = tuple([price * r for r in rates])
+        if decay is not None:
             # the envelope cuts a move larger than dw(n) back to old_bid +/- dw(n)
-            if limit is not None and abs(bid - old_bid) > limit:
-                bid = old_bid + math.copysign(limit, bid - old_bid)
-            rates.append(rate)
-            new_bids.append(bid)
-        records.append(IterationRecord(n, price, tuple(new_bids), tuple(rates)))
+            limit = decay.step_limit(n)
+            new_bids = tuple([
+                old + math.copysign(limit, w - old) if abs(w - old) > limit else w
+                for w, old in zip(new_bids, bids)
+            ])
+        records.append(IterationRecord(n, price, new_bids, rates))
         moved = max(abs(w - w_prev) for w, w_prev in zip(new_bids, bids))
         bids = new_bids
         if moved <= config.delta:
             status = CONVERGED
             break
-    last = records[-1]
-    return AllocationResult(
-        status=status,
-        final_rates=last.rates,
-        final_bids=last.bids,
-        final_price=last.price,
-        iterations_used=len(records),
-        trajectory=tuple(records),
-        clamped_users=frozenset(clamped),
-    )
+    pinned = solver.bracket_lo
+    clamped = frozenset(i for rec in records for i, r in enumerate(rec.rates) if r == pinned)
+    return AllocationResult(status, tuple(records), clamped)

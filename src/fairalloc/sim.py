@@ -8,6 +8,7 @@ sweep can be reproduced in isolation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 from .protocol import AllocationConfig, AllocationResult, run_allocation
@@ -51,8 +52,9 @@ class Scenario:
                 raise ValueError(f"user {i!r}: not a utility function: {u!r}")
         if not self.r_values:
             raise ValueError("r_values must be nonempty")
-        if self.r_values[0] <= 0.0:
-            raise ValueError("r_values must be positive")
+        for r in self.r_values:
+            if not (r > 0.0 and math.isfinite(r)):
+                raise ValueError(f"r_values must be positive and finite, got {r}")
         if any(b <= a for a, b in zip(self.r_values, self.r_values[1:])):
             raise ValueError(f"r_values must be strictly ascending, got {self.r_values}")
 
@@ -67,7 +69,6 @@ class Scenario:
 
 @dataclass(frozen=True)
 class SweepResult:
-    scenario: Scenario
     results: dict[float, AllocationResult]
 
 
@@ -104,7 +105,7 @@ def run_sweep(scenario: Scenario) -> SweepResult:
             results[r] = run_allocation(scenario.utilities, r, scenario.config)
         except (ValueError, RuntimeError) as exc:
             raise SweepError(r, exc) from exc
-    return SweepResult(scenario=scenario, results=results)
+    return SweepResult(results)
 
 
 def find_nonconvergent_rate(

@@ -16,9 +16,10 @@ Boundary handling:
   essentially nothing, so the rate pins to ``bracket_lo`` (returned
   exactly, which is how callers recognize a pinned user);
 * price below the slope at the upper bracket ``BRACKET_HI``: the
-  bracket doubles until it encloses the root, up to the fixed cap
-  ``HI_CAP``; running past the cap raises NoRootError, which signals a
-  pathologically small price.
+  bracket doubles until it encloses the root, and its last doubling
+  stops at the fixed cap ``HI_CAP``; a slope still above the price at
+  ``HI_CAP`` raises NoRootError, which signals a pathologically small
+  price.
 
 Bisection stops once the bracket is narrower than ``REL_TOL`` of its
 midpoint, or once the midpoint rounds onto an end of the bracket, so
@@ -49,7 +50,7 @@ REL_TOL = 1e-10  # bracket width, relative to its midpoint, at which bisection s
 
 
 class NoRootError(RuntimeError):
-    """Raised when bracket expansion exceeds the hard cap without enclosing a root."""
+    """Raised when the upper bracket reaches the hard cap without enclosing a root."""
 
 
 @dataclass(frozen=True)
@@ -79,12 +80,12 @@ def solve_user_rate(u: UtilityFunction, price: float, config: SolverConfig = _DE
     if u.log_slope(lo) < price:
         return lo  # pinned: even the smallest tradable rate is too expensive
     while u.log_slope(hi) > price:
-        hi *= 2.0
-        if hi > HI_CAP:
+        if hi == HI_CAP:
             raise NoRootError(
                 f"log-slope still above price {price} at rate {HI_CAP}; "
                 "price too small to meet within the bracket cap"
             )
+        hi = min(2.0 * hi, HI_CAP)
     while True:
         mid = 0.5 * (lo + hi)
         if hi - lo <= REL_TOL * mid or not lo < mid < hi:

@@ -84,6 +84,18 @@ class TestRun:
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
         assert "delta" in capsys.readouterr().err
 
+    def test_non_finite_rate_exits_2(self, tmp_path, capsys):
+        doc = scenario_to_dict(canonical_scenario(r_values=(60.0,)))
+        doc["R_values"] = [float("nan")]
+        cfg = tmp_path / "nan.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 2
+        assert "nan" in capsys.readouterr().err
+        good = write_config(tmp_path)
+        assert main(["run", "--config", str(good), "--out", str(tmp_path / "b"), "--R", "nan"]) == 2
+        assert "nan" in capsys.readouterr().err
+        assert not (tmp_path / "b").exists()
+
     def test_missing_config_exits_2(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path / "out")]) == 2
 

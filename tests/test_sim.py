@@ -32,7 +32,16 @@ class TestScenario:
 
     @pytest.mark.parametrize(
         "r_values",
-        [(), (0.0, 10.0), (-5.0,), (10.0, 10.0), (20.0, 10.0)],
+        [
+            (),
+            (0.0, 10.0),
+            (-5.0,),
+            (10.0, 10.0),
+            (20.0, 10.0),
+            (float("nan"),),
+            (float("inf"),),
+            (30.0, float("nan")),
+        ],
     )
     def test_rejects_bad_rate_grids(self, r_values):
         with pytest.raises(ValueError):

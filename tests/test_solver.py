@@ -73,6 +73,13 @@ class TestSolveUserRate:
         assert r > 1e3
         assert u.log_slope(r) == pytest.approx(1e-6, rel=1e-7)
 
+    @pytest.mark.parametrize("root", [8e8, HI_CAP])
+    def test_finds_roots_up_to_the_cap(self, root):
+        # the doubling bracket overshoots HI_CAP after 5.24e8; the last
+        # doubling must stop at the cap instead of giving up below it
+        u = LogUtility(k=0.5, r_max=100.0)
+        assert solve_user_rate(u, u.log_slope(root)) == pytest.approx(root, rel=1e-9)
+
     def test_no_root_beyond_cap(self):
         u = LogUtility(k=0.5, r_max=100.0)
         with pytest.raises(NoRootError):
