@@ -6,8 +6,12 @@
 
 Outputs are plain CSV with shortest round-trip number formatting, so a
 rerun with the same config is byte-identical and the files re-parse
-without loss. Exit codes: 0 on success, 2 for config or usage problems,
-3 when an allocation run fails (the message names the rate value).
+without loss. The subcommands only raise; ``main`` prints each error as
+``error: ...`` and maps it to an exit code: 0 on success, 2 for a
+config, usage or file problem (a ``ValueError`` or ``OSError``; the
+output directory is made before any run, so an unusable ``--out`` fails
+at once), 3 when an allocation run fails (the message names the rate
+value).
 """
 
 from __future__ import annotations
@@ -17,8 +21,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .scenario_io import ScenarioFormatError, load_scenario
-from .sim import Scenario, SweepError, run_sweep
+from .scenario_io import load_scenario
+from .sim import SweepError, run_sweep
 from .utility import sigmoid_from_qoe
 
 __all__ = ["main"]
@@ -40,22 +44,14 @@ def _write_csv(path: Path, header: str, rows) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def cmd_run(config_path, out_dir, r_override=None) -> int:
+def cmd_run(config_path, out_dir, r_override=None) -> None:
     """Sweep the scenario and write per-rate trajectories plus a summary table."""
-    try:
-        scenario = load_scenario(config_path)
-        if r_override is not None:
-            scenario = replace(scenario, r_values=tuple(r_override))
-    except (ScenarioFormatError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        sweep = run_sweep(scenario)
-    except SweepError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    scenario = load_scenario(config_path)
+    if r_override is not None:
+        scenario = replace(scenario, r_values=tuple(r_override))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    sweep = run_sweep(scenario)
     summary_rows = []
     for r, result in sweep.results.items():
         traj_rows = []
@@ -80,16 +76,11 @@ def cmd_run(config_path, out_dir, r_override=None) -> int:
         "R,user_id,final_rate,final_utility,final_price,iterations,status",
         summary_rows,
     )
-    return 0
 
 
-def cmd_curves(config_path, out_dir) -> int:
+def cmd_curves(config_path, out_dir) -> None:
     """Sample every user's utility and log-slope on the integer grid 0..100."""
-    try:
-        scenario = load_scenario(config_path)
-    except (ScenarioFormatError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    scenario = load_scenario(config_path)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
@@ -99,18 +90,12 @@ def cmd_curves(config_path, out_dir) -> int:
             slope = "" if j == 0 else _fmt(u.log_slope(r))  # diverges at r = 0
             rows.append((_fmt(r), uid, _fmt(u.value(r)), slope))
     _write_csv(out / "curves.csv", "r,user_id,utility,dlogU", rows)
-    return 0
 
 
-def cmd_fit(r_low, s_low, r_high, s_high) -> int:
+def cmd_fit(r_low, s_low, r_high, s_high) -> None:
     """Fit a sigmoid to two QoE anchor points and print its constants."""
-    try:
-        u = sigmoid_from_qoe(r_low, s_low, r_high, s_high)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    u = sigmoid_from_qoe(r_low, s_low, r_high, s_high)
     print(f"a={_fmt(u.a)} b={_fmt(u.b)} c={_fmt(u.c)} d={_fmt(u.d)}")
-    return 0
 
 
 def _parse_rate_list(text: str) -> list[float]:
@@ -126,16 +111,15 @@ def main(argv=None) -> int:
         description="Utility-proportional-fairness rate allocation for a single cell.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    files = argparse.ArgumentParser(add_help=False)
+    files.add_argument("--config", required=True, help="scenario JSON file")
+    files.add_argument("--out", required=True, help="output directory")
 
-    p_run = sub.add_parser("run", help="run the allocation sweep and write CSVs")
-    p_run.add_argument("--config", required=True, help="scenario JSON file")
-    p_run.add_argument("--out", required=True, help="output directory")
+    p_run = sub.add_parser("run", parents=[files], help="run the allocation sweep and write CSVs")
     p_run.add_argument("--R", type=_parse_rate_list, default=None,
                        help="comma-separated total rates overriding the config's R_values")
 
-    p_curves = sub.add_parser("curves", help="write utility and log-slope samples")
-    p_curves.add_argument("--config", required=True, help="scenario JSON file")
-    p_curves.add_argument("--out", required=True, help="output directory")
+    sub.add_parser("curves", parents=[files], help="write utility and log-slope samples")
 
     p_fit = sub.add_parser("fit", help="fit a sigmoid to two QoE points")
     p_fit.add_argument("r_low", type=float)
@@ -144,11 +128,20 @@ def main(argv=None) -> int:
     p_fit.add_argument("s_high", type=float)
 
     args = parser.parse_args(argv)
-    if args.command == "run":
-        return cmd_run(args.config, args.out, args.R)
-    if args.command == "curves":
-        return cmd_curves(args.config, args.out)
-    return cmd_fit(args.r_low, args.s_low, args.r_high, args.s_high)
+    try:
+        if args.command == "run":
+            cmd_run(args.config, args.out, args.R)
+        elif args.command == "curves":
+            cmd_curves(args.config, args.out)
+        else:
+            cmd_fit(args.r_low, args.s_low, args.r_high, args.s_high)
+    except SweepError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    return 0
 
 
 if __name__ == "__main__":

@@ -35,6 +35,7 @@ with frozen bids that do not clear the budget.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 from .solver import SolverConfig, solve_user_rate
@@ -98,8 +99,8 @@ class AllocationConfig:
     def __post_init__(self):
         if not (self.delta > 0.0 and math.isfinite(self.delta)):
             raise ValueError(f"delta must be positive and finite, got {self.delta}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
+        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, numbers.Integral) or self.max_iter < 1:
+            raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
         if not (self.initial_bid > 0.0 and math.isfinite(self.initial_bid)):
             raise ValueError(f"initial_bid must be positive and finite, got {self.initial_bid}")
 
@@ -116,16 +117,16 @@ class IterationRecord:
 
 @dataclass(frozen=True)
 class AllocationResult:
-    """A run's status, its rounds and the users pinned in any of them.
+    """A run's status and its rounds.
 
     The final state is the last round's: ``final_rates``, ``final_bids``
     and ``final_price`` read ``trajectory[-1]``, and ``iterations_used``
-    is the number of rounds.
+    is the number of rounds. A user pinned in a round has a rate equal
+    to the solver's ``bracket_lo`` exactly.
     """
 
     status: str
     trajectory: tuple[IterationRecord, ...]
-    clamped_users: frozenset[int]
 
     @property
     def converged(self) -> bool:
@@ -152,10 +153,9 @@ def run_allocation(utilities, total_rate: float, config: AllocationConfig = Allo
     """Iterate the bidding loop until the bids settle or the cap is hit.
 
     A pure function of its arguments: identical inputs give identical
-    trajectories. Users whose rate ever pinned at the solver's lower
-    bracket are reported in ``clamped_users``. A cell rate below the
-    users' pinned floor (each user holds at least ``bracket_lo``) has no
-    equilibrium and is rejected up front.
+    trajectories. A cell rate below the users' pinned floor (each user
+    holds at least ``bracket_lo``) has no equilibrium and is rejected up
+    front.
     """
     utilities = tuple(utilities)
     if not utilities:
@@ -190,6 +190,4 @@ def run_allocation(utilities, total_rate: float, config: AllocationConfig = Allo
         if moved <= config.delta:
             status = CONVERGED
             break
-    pinned = solver.bracket_lo
-    clamped = frozenset(i for rec in records for i, r in enumerate(rec.rates) if r == pinned)
-    return AllocationResult(status, tuple(records), clamped)
+    return AllocationResult(status, tuple(records))

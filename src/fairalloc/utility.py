@@ -58,25 +58,21 @@ class SigmoidUtility:
         object.__setattr__(self, "c", 1.0 + t)
         object.__setattr__(self, "d", t / (1.0 + t))
 
-    # Evaluation splits at the inflection so every exponent is <= 0:
-    # stable for any a*b, and U(0) is exact because expm1(-a*0) is
-    # exactly zero.
-    #   r <  b:  U = e^(ar-ab) * (1 - e^(-ar)) / (1 + e^(ar-ab))
-    #   r >= b:  U = (1 - e^(-ar)) / (1 + e^(-(ar-ab)))
+    # Evaluation takes the form whose exponent is <= 0 on each side of
+    # the inflection, so exp(-|x|) never overflows for any a*b, and U(0)
+    # is exact because expm1(-a*0) is exactly zero. With x = ar - ab:
+    #   r <  b:  U = e^x * (1 - e^(-ar)) / (1 + e^x)
+    #   r >= b:  U = (1 - e^(-ar)) / (1 + e^(-x))
 
     def value(self, rate):
         """Satisfaction at ``rate`` (a float or an array); exactly 0 at rate 0 and approaching 1 as rate grows."""
-        r = np.atleast_1d(np.asarray(rate, dtype=float))
+        r = np.asarray(rate, dtype=float)
         if np.any(r < 0.0):
             raise ValueError("rate must be >= 0")
         x = self.a * r - self._ab
+        e = np.exp(-np.abs(x))
         growth = -np.expm1(-self.a * r)
-        out = np.empty_like(r)
-        below = x < 0.0
-        ex = np.exp(x[below])
-        out[below] = ex * growth[below] / (1.0 + ex)
-        out[~below] = growth[~below] / (1.0 + np.exp(-x[~below]))
-        return out.reshape(np.shape(rate))[()]
+        return np.where(x < 0.0, e * growth, growth) / (1.0 + e)
 
     # The slope of log U equals a*m / ((1+m) * (1 - d*(1+m))) with
     # m = exp(-a(r-b)); rearranged so no intermediate overflows:
@@ -117,6 +113,8 @@ class LogUtility:
             raise ValueError(f"log growth rate k must be positive and finite, got {self.k}")
         if not (self.r_max > 0.0 and math.isfinite(self.r_max)):
             raise ValueError(f"r_max must be positive and finite, got {self.r_max}")
+        if not 0.0 < self.k * self.r_max < math.inf:
+            raise ValueError(f"k * r_max must be positive and finite, got k={self.k}, r_max={self.r_max}")
         # numpy's log1p, the one ``value`` uses, so that U(r_max) is exactly 1
         object.__setattr__(self, "_denom", float(np.log1p(self.k * self.r_max)))
 

@@ -1,16 +1,9 @@
 import pytest
 
-from fairalloc import LogUtility, SigmoidUtility
+from fairalloc import canonical_scenario
 
 
 @pytest.fixture(scope="session")
 def table_utilities():
-    """The six reference curves used throughout: three sigmoid, three log."""
-    return {
-        "Sig1": SigmoidUtility(a=5.0, b=10.0),
-        "Sig2": SigmoidUtility(a=3.0, b=20.0),
-        "Sig3": SigmoidUtility(a=1.0, b=30.0),
-        "Log1": LogUtility(k=15.0, r_max=100.0),
-        "Log2": LogUtility(k=3.0, r_max=100.0),
-        "Log3": LogUtility(k=0.5, r_max=100.0),
-    }
+    """The six reference curves used throughout, by user id: three sigmoid, three log."""
+    return dict(canonical_scenario().users)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from fairalloc import canonical_scenario, scenario_to_dict
+from fairalloc import canonical_scenario, cli, scenario_to_dict
 from fairalloc.cli import main
 
 
@@ -156,6 +156,19 @@ class TestFit:
 
 
 class TestUsage:
+    def test_unusable_out_exits_2_before_any_run(self, tmp_path, capsys, monkeypatch):
+        cfg = write_config(tmp_path)
+        taken = tmp_path / "taken"
+        taken.write_text("a file, not a directory\n")
+
+        def no_sweep(scenario):
+            raise AssertionError("run_sweep was called with an unusable --out")
+
+        monkeypatch.setattr(cli, "run_sweep", no_sweep)
+        for command in ("run", "curves"):
+            assert main([command, "--config", str(cfg), "--out", str(taken)]) == 2
+            assert str(taken) in capsys.readouterr().err
+
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

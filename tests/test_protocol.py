@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from fairalloc import (
@@ -173,7 +174,7 @@ class TestRunAllocation:
     def test_first_order_optimality_at_convergence(self):
         sc = canonical_scenario()
         res = run_allocation(sc.utilities, 60.0)
-        assert res.clamped_users == frozenset()
+        assert SolverConfig().bracket_lo not in res.final_rates  # no user is pinned
         for u, r in zip(sc.utilities, res.final_rates):
             assert abs(u.log_slope(r) - res.final_price) / res.final_price <= 1e-6
 
@@ -251,10 +252,10 @@ class TestRunAllocation:
         assert first == second
 
     def test_clamped_users_reported(self):
-        # a tiny cell prices both users out of the market in round one
+        # a tiny cell prices both users out of the market in round one;
+        # a pinned user reports bracket_lo exactly
         users = [LogUtility(k=15.0, r_max=100.0), LogUtility(k=0.5, r_max=100.0)]
         res = run_allocation(users, 0.01)
-        assert res.clamped_users == frozenset({0, 1})
         lo = SolverConfig().bracket_lo
         assert res.trajectory[0].rates == (lo, lo)
 
@@ -278,8 +279,16 @@ class TestRunAllocation:
             {"delta": math.inf},
             {"initial_bid": math.inf},
             {"initial_bid": math.nan},
+            {"max_iter": 2.5},
+            {"max_iter": math.nan},
+            {"max_iter": True},
         ],
     )
     def test_rejects_bad_config(self, kwargs):
-        with pytest.raises(ValueError):
+        (name,) = kwargs
+        with pytest.raises(ValueError, match=name):
             AllocationConfig(**kwargs)
+
+    def test_accepts_a_numpy_integer_max_iter(self):
+        res = run_allocation([LogUtility(k=3.0, r_max=100.0)], 10.0, AllocationConfig(max_iter=np.int64(1)))
+        assert res.iterations_used == 1

@@ -34,8 +34,12 @@ class TestConstruction:
         with pytest.raises(ValueError):
             SigmoidUtility(a=a, b=b)
 
-    @pytest.mark.parametrize("k,r_max", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -2.0), (math.inf, 1.0)])
+    @pytest.mark.parametrize(
+        "k,r_max",
+        [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -2.0), (math.inf, 1.0), (1e200, 1e200), (1e-200, 1e-200)],
+    )
     def test_log_rejects_bad_parameters(self, k, r_max):
+        # k * r_max overflowing or underflowing leaves log1p(k * r_max) inf or 0
         with pytest.raises(ValueError):
             LogUtility(k=k, r_max=r_max)
 
