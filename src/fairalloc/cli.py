@@ -11,7 +11,9 @@ without loss. The subcommands only raise; ``main`` prints each error as
 config, usage or file problem (a ``ValueError`` or ``OSError``; the
 output directory is made before any run, so an unusable ``--out`` fails
 at once), 3 when an allocation run fails (the message names the rate
-value).
+value). ``run`` writes each rate point's trajectory as soon as that point
+finishes, so a failure leaves the earlier points' ``traj_R*.csv`` files
+and no ``summary.csv``.
 """
 
 from __future__ import annotations
@@ -44,33 +46,55 @@ def _write_csv(path: Path, header: str, rows) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+def _write_trajectory(path: Path, user_ids, trajectory) -> None:
+    with path.open("w") as f:
+        f.write("n,price,user_id,bid,rate\n")
+        for rec in trajectory:
+            head = f"{rec.n},{_fmt(rec.price)},"
+            f.write("".join(
+                f"{head}{uid},{_fmt(bid)},{_fmt(rate)}\n" for uid, bid, rate in zip(user_ids, rec.bids, rec.rates)
+            ))
+
+
+def _run_point(scenario, r: float, out: Path) -> list[tuple[str, ...]]:
+    """Run one rate point, write its trajectory and return its summary rows.
+
+    Only the rows outlive the call, so the trajectory is freed before the
+    caller runs the next point.
+    """
+    result = run_sweep(replace(scenario, r_values=(r,))).results[r]
+    _write_trajectory(out / f"traj_R{_fmt_rate_label(r)}.csv", scenario.user_ids, result.trajectory)
+    return [
+        (
+            _fmt(r),
+            uid,
+            _fmt(rate),
+            _fmt(u.value(rate)),
+            _fmt(result.final_price),
+            str(result.iterations_used),
+            result.status,
+        )
+        for (uid, u), rate in zip(scenario.users, result.final_rates)
+    ]
+
+
 def cmd_run(config_path, out_dir, r_override=None) -> None:
-    """Sweep the scenario and write per-rate trajectories plus a summary table."""
+    """Sweep the scenario and write per-rate trajectories plus a summary table.
+
+    The rate points run one at a time in ascending order. Each point's
+    ``traj_R*.csv`` is written as soon as it finishes and its trajectory
+    is dropped before the next point runs, so memory follows the longest
+    point, not the whole sweep. ``summary.csv`` is written after the last
+    point; a point that fails leaves the files of the points before it.
+    """
     scenario = load_scenario(config_path)
     if r_override is not None:
         scenario = replace(scenario, r_values=tuple(r_override))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    sweep = run_sweep(scenario)
     summary_rows = []
-    for r, result in sweep.results.items():
-        traj_rows = []
-        for rec in result.trajectory:
-            for uid, bid, rate in zip(scenario.user_ids, rec.bids, rec.rates):
-                traj_rows.append((str(rec.n), _fmt(rec.price), uid, _fmt(bid), _fmt(rate)))
-        _write_csv(out / f"traj_R{_fmt_rate_label(r)}.csv", "n,price,user_id,bid,rate", traj_rows)
-        for (uid, u), rate in zip(scenario.users, result.final_rates):
-            summary_rows.append(
-                (
-                    _fmt(r),
-                    uid,
-                    _fmt(rate),
-                    _fmt(u.value(rate)),
-                    _fmt(result.final_price),
-                    str(result.iterations_used),
-                    result.status,
-                )
-            )
+    for r in scenario.r_values:
+        summary_rows.extend(_run_point(scenario, r, out))
     _write_csv(
         out / "summary.csv",
         "R,user_id,final_rate,final_utility,final_price,iterations,status",

@@ -1,14 +1,22 @@
 import json
+import tracemalloc
 
 import pytest
 
-from fairalloc import canonical_scenario, cli, scenario_to_dict
+from fairalloc import (
+    AllocationConfig,
+    ExponentialDecay,
+    canonical_scenario,
+    cli,
+    run_allocation,
+    scenario_to_dict,
+)
 from fairalloc.cli import main
 
 
-def write_config(tmp_path, r_values=(30.0, 60.0), name="canonical.json"):
+def write_config(tmp_path, r_values=(30.0, 60.0), name="canonical.json", config=None):
     path = tmp_path / name
-    doc = scenario_to_dict(canonical_scenario(r_values=r_values))
+    doc = scenario_to_dict(canonical_scenario(r_values=r_values, config=config))
     path.write_text(json.dumps(doc, indent=2))
     return path
 
@@ -42,6 +50,90 @@ class TestRun:
         assert len(rows) == 6 * iterations
         for n, price, _, bid, rate in rows:  # re-checkable from the file alone
             assert float(bid) == float(price) * float(rate)
+
+    @pytest.mark.parametrize(
+        "r, decay, status",
+        [(30.0, None, "converged"), (20.0, None, "iteration_cap_reached"), (20.0, ExponentialDecay(), "converged")],
+        ids=["plain-converged", "plain-capped", "damped"],
+    )
+    def test_files_hold_exactly_the_library_result(self, tmp_path, r, decay, status):
+        config = AllocationConfig(decay=decay)
+        cfg = write_config(tmp_path, r_values=(r,), config=config)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        scenario = canonical_scenario(r_values=(r,), config=config)
+        result = run_allocation(scenario.utilities, r, config)
+        assert result.status == status
+
+        _, rows = read_csv(out / f"traj_R{int(r)}.csv")
+        expected = [
+            (rec.n, rec.price, uid, bid, rate)
+            for rec in result.trajectory
+            for uid, bid, rate in zip(scenario.user_ids, rec.bids, rec.rates)
+        ]
+        assert len(rows) == len(expected)
+        for (n, price, uid, bid, rate), want in zip(rows, expected):
+            assert (int(n), float(price), uid, float(bid), float(rate)) == want
+
+        _, rows = read_csv(out / "summary.csv")
+        assert [row[1] for row in rows] == list(scenario.user_ids)
+        for row, (_, u), rate in zip(rows, scenario.users, result.final_rates):
+            assert float(row[0]) == r
+            assert float(row[2]) == rate
+            assert float(row[3]) == u.value(rate)
+            assert float(row[4]) == result.final_price
+            assert int(row[5]) == result.iterations_used
+            assert row[6] == result.status
+
+    def test_points_run_and_land_on_disk_one_at_a_time(self, tmp_path, monkeypatch):
+        cfg = write_config(tmp_path, r_values=(30.0, 35.0, 60.0))
+        out = tmp_path / "out"
+        real_run_sweep = cli.run_sweep
+        calls = []
+
+        def one_point_sweep(scenario):
+            assert len(scenario.r_values) == 1
+            if calls:  # the previous point's trajectory is complete before this one runs
+                r_prev, iterations = calls[-1]
+                text = (out / f"traj_R{int(r_prev)}.csv").read_text()
+                assert text.endswith("\n")
+                assert len(text.splitlines()) == 1 + 6 * iterations
+            assert not (out / "summary.csv").exists()
+            sweep = real_run_sweep(scenario)
+            (r,) = scenario.r_values
+            calls.append((r, sweep.results[r].iterations_used))
+            return sweep
+
+        monkeypatch.setattr(cli, "run_sweep", one_point_sweep)
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        assert [r for r, _ in calls] == [30.0, 35.0, 60.0]
+        _, rows = read_csv(out / "summary.csv")
+        ids = canonical_scenario().user_ids
+        assert [(row[0], row[1]) for row in rows] == [(repr(r), uid) for r, _ in calls for uid in ids]
+        assert [int(row[5]) for row in rows] == [n for _, n in calls for _ in ids]
+
+    def test_memory_follows_one_point_not_the_sweep(self, tmp_path):
+        # Every point below cycles to the cap, so each holds max_iter rounds.
+        # Holding all four trajectories at once peaked at 1.42x the one-point
+        # run (the one-point peak also holds that point's formatted rows);
+        # holding one at a time peaks at 1.07x.
+        cfg = write_config(tmp_path, r_values=(5.0,), config=AllocationConfig(max_iter=200))
+
+        def run(rates, out):
+            return main(["run", "--config", str(cfg), "--out", str(tmp_path / out), "--R", rates])
+
+        assert run("5", "warm") == 0  # one-time allocations stay out of the peaks
+        peaks = {}
+        for rates in ("5", "5,10,15,20"):
+            tracemalloc.start()
+            try:
+                assert run(rates, rates) == 0
+                peaks[rates] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        _, rows = read_csv(tmp_path / "5,10,15,20" / "summary.csv")
+        assert {row[6] for row in rows} == {"iteration_cap_reached"}
+        assert peaks["5,10,15,20"] < 1.25 * peaks["5"]
 
     def test_rate_override_replaces_config_values(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -103,12 +195,15 @@ class TestRun:
         doc = {
             "name": "starved",
             "users": [{"id": "lone", "type": "log", "params": {"k": 0.5, "r_max": 100}}],
-            "R_values": [1e12],
+            "R_values": [30, 1e12],
         }
         cfg = tmp_path / "starved.json"
         cfg.write_text(json.dumps(doc))
-        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
-        assert "1000000000000" in capsys.readouterr().err
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 3
+        assert "R=1000000000000.0" in capsys.readouterr().err
+        # the point before the failing one keeps its trajectory; no summary is written
+        assert sorted(p.name for p in out.iterdir()) == ["traj_R30.csv"]
 
 
 class TestCurves:
