@@ -66,7 +66,10 @@ def _check_keys(mapping, path: str, required=(), optional=()):
 def _number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(path, f"expected a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond the largest double
+        _fail(path, "integer too large for a float")
 
 
 def _integer(value, path: str) -> int:

@@ -6,9 +6,22 @@ unique root of
 
     d/dr log U(r) = p
 
-found here by bisection. Bisection is deterministic and keeps working
-through the nearly flat stretch a sigmoid's log-slope develops below
-its inflection, where faster secant-style updates stall.
+found here by bisection, which is deterministic and keeps its bracket
+whatever the curve's shape.
+
+Most bisection steps cost no evaluation. Each utility gives a cheap
+estimate of the root (``estimate_rate``), and the solver evaluates the
+log-slope at probes just either side of it, widening them a bounded
+number of times if both land on one side. The nearest probes certify a
+bracket: the slope is >= p at ``below`` and < p at ``above``. The
+rounded log-slope never increases from one double to the next (the
+tests check this for both families), so a midpoint <= ``below`` goes
+low and a midpoint >= ``above`` goes high exactly as an evaluation would
+have sent it. Bisection therefore walks the same midpoints as plain
+bisection and returns the same double; only the midpoints inside the
+certified bracket are evaluated. An estimate that is nan, infinite or
+far off only costs speed: the probes then certify little or nothing and
+bisection evaluates as it would without them.
 
 Boundary handling:
 
@@ -47,6 +60,7 @@ __all__ = ["SolverConfig", "NoRootError", "solve_user_rate", "grid_oracle"]
 BRACKET_HI = 1e3  # first upper bracket, doubled while the root lies above it
 HI_CAP = 1e9  # largest rate the upper bracket may grow to
 REL_TOL = 1e-10  # bracket width, relative to its midpoint, at which bisection stops
+PROBE_STEPS = (1e-12, 1e-8, 1e-4)  # relative distances of the probes from the estimated root, in turn
 
 
 class NoRootError(RuntimeError):
@@ -70,8 +84,9 @@ def solve_user_rate(u: UtilityFunction, price: float, config: SolverConfig = _DE
 
     Maintains the bracket invariant log_slope(lo) >= price >= log_slope(hi)
     and stops once the bracket width falls below REL_TOL of its midpoint
-    or the midpoint no longer lies strictly inside the bracket.
-    Identical inputs give bit-identical results.
+    or the midpoint no longer lies strictly inside the bracket. A midpoint
+    outside the probed bracket (below, above) is decided without an
+    evaluation. Identical inputs give bit-identical results.
     """
     if price <= 0.0 or not math.isfinite(price):
         raise ValueError(f"price must be positive and finite, got {price}")
@@ -86,14 +101,38 @@ def solve_user_rate(u: UtilityFunction, price: float, config: SolverConfig = _DE
                 "price too small to meet within the bracket cap"
             )
         hi = min(2.0 * hi, HI_CAP)
+    below, above = _certified_bracket(u, price, lo, hi)
     while True:
         mid = 0.5 * (lo + hi)
         if hi - lo <= REL_TOL * mid or not lo < mid < hi:
             return mid
-        if u.log_slope(mid) >= price:
+        if mid <= below or (mid < above and u.log_slope(mid) >= price):
             lo = mid
         else:
             hi = mid
+
+
+def _certified_bracket(u: UtilityFunction, price: float, lo: float, hi: float) -> tuple[float, float]:
+    """Evaluated rates ``below`` and ``above`` closest around ``u``'s estimated root.
+
+    log_slope(below) >= price, and log_slope(above) < price unless above
+    is ``hi``. Probes go either side of the estimate at each of
+    PROBE_STEPS in turn until the two nearest enclose the root. A probe
+    outside (below, above), nan included, is skipped, so each widening
+    costs at most one evaluation and a useless estimate costs none.
+    """
+    below, above = lo, hi
+    guess = u.estimate_rate(price)
+    for step in PROBE_STEPS:
+        for x in (guess * (1.0 - step), guess * (1.0 + step)):
+            if below < x < above:
+                if u.log_slope(x) >= price:
+                    below = x
+                else:
+                    above = x
+        if below > lo and above < hi:
+            break
+    return below, above
 
 
 def grid_oracle(u: UtilityFunction, price: float, r_grid) -> float:

@@ -22,12 +22,19 @@ for both families is strictly positive and strictly decreasing on
 All objects are immutable, and each method has one implementation,
 free of overflow for any parameters. ``value`` is numpy code: it takes a
 float or an array of rates, so a whole grid evaluates in one call.
-``log_slope`` is the solver's inner loop and takes one float rate.
+``log_slope`` is the solver's inner loop and takes one float rate; its
+rounded value never increases from one double to the next, which the
+solver relies on to skip evaluations. ``estimate_rate(price)`` is a
+cheap estimate of the rate where ``log_slope`` equals ``price``, closed
+form for a sigmoid and a few Newton steps for a log curve. It may be
+inf, and its accuracy only decides how many evaluations the solver
+saves, never what the solver returns.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,6 +42,7 @@ import numpy as np
 __all__ = ["SigmoidUtility", "LogUtility", "UtilityFunction", "sigmoid_from_qoe"]
 
 _EXP_MAX = 709.0  # exp overflows just past this in double precision
+_NEWTON_STEPS = 6  # enough for full precision from LogUtility.estimate_rate's starts
 
 
 @dataclass(frozen=True)
@@ -55,6 +63,7 @@ class SigmoidUtility:
         t = math.exp(-ab)  # exp(ab) overflows near ab ~ 709; 1/exp(ab) never does
         object.__setattr__(self, "_ab", ab)
         object.__setattr__(self, "_t", t)
+        object.__setattr__(self, "_switch", 700.0 if t >= sys.float_info.min else 38.0)
         object.__setattr__(self, "c", 1.0 + t)
         object.__setattr__(self, "d", t / (1.0 + t))
 
@@ -79,11 +88,14 @@ class SigmoidUtility:
     #
     #     a * (1 + e^(-ab)) / (e^(-ab) * expm1(ar) - expm1(-ar))
     #
-    # and, once expm1(ar) would overflow, the same denominator with its
-    # negligible e^(-ar) term dropped: e^(ar-ab) + (1 - e^(-ab)).
+    # and, past ar = 700 before expm1(ar) overflows, the same denominator
+    # with its negligible e^(-ar) term dropped: e^(ar-ab) + (1 - e^(-ab)).
     # Both denominator terms grow with r, so the rounded slope never rises
     # (a product of a falling and a rising factor can, by an ulp, on the
-    # flat stretch).
+    # flat stretch). At the switch the far form's rise outweighs its
+    # rounding while e^(-ab) is a normal double. Once it is subnormal
+    # (ab > 708.4) it keeps too few bits for that, so the switch moves to
+    # ar = 38, where both forms round to 1 (e^(-38) < 2^-54).
     # Between roughly 2/a and b - 2/a the slope hugs the constant a
     # (log U is nearly linear there); it diverges like 1/r as r -> 0 and
     # decays like a*exp(-a(r-b)) past the inflection.
@@ -93,12 +105,33 @@ class SigmoidUtility:
         if rate <= 0.0:
             raise ValueError("rate must be > 0")
         ar = self.a * rate
-        if ar <= 700.0:
+        if ar <= self._switch:
             denom = self._t * math.expm1(ar) - math.expm1(-ar)
         else:
             x = ar - self._ab
             denom = (math.exp(x) if x <= _EXP_MAX else math.inf) + (1.0 - self._t)
         return self.a * (1.0 + self._t) / denom
+
+    # log_slope(r) = p in w = expm1(ar) is the quadratic
+    #     t w^2 + (1 + t - c) w - c = 0,   c = a(1 + t) / p,
+    # whose positive root is (q + s) / 2t with q = c - 1 - t and
+    # s = sqrt(q^2 + 4tc). For q <= 0 (the price at or above the flat
+    # stretch's slope a(1+t)) it is taken as 2c / (s - q), free of
+    # cancellation; for q > 0 in log form, log w = log((q + s)/2) + ab,
+    # since w = e^(ar) - 1 overflows for a root far past the inflection.
+
+    def estimate_rate(self, price: float) -> float:
+        """Closed-form rate where ``log_slope`` equals ``price`` > 0, exact up to rounding; may be inf."""
+        t = self._t
+        c = self.a * (1.0 + t) / price
+        q = c - 1.0 - t
+        s = math.hypot(q, 2.0 * math.sqrt(t * c))
+        if q > 0.0:
+            log_w = math.log(0.5 * (q + s)) + self._ab
+            return (log_w + math.log1p(math.exp(-log_w))) / self.a
+        if s == q:  # t underflowed to 0 and price == a exactly: the root is unbounded
+            return math.inf
+        return math.log1p(2.0 * c / (s - q)) / self.a
 
 
 @dataclass(frozen=True)
@@ -131,6 +164,22 @@ class LogUtility:
             raise ValueError("rate must be > 0")
         kr = self.k * rate
         return self.k / ((1.0 + kr) * math.log1p(kr))
+
+    # log_slope(r) = p in w = log1p(kr) reads w + log w = log(k/p), solved
+    # by Newton steps on v = log w: f(v) = e^v + v - log(k/p) is convex
+    # and increasing, and both starts (log of the target from 1 up, the
+    # target itself below 1) have f >= 0, so the iterates fall
+    # monotonically onto the root.
+
+    def estimate_rate(self, price: float) -> float:
+        """Rate where ``log_slope`` equals ``price`` > 0, to within rounding; may be inf."""
+        target = math.log(self.k) - math.log(price)
+        v = math.log(target) if target >= 1.0 else target
+        for _ in range(_NEWTON_STEPS):
+            e = math.exp(v)
+            v -= (e + v - target) / (e + 1.0)
+        w = math.exp(v)
+        return math.expm1(w) / self.k if w <= _EXP_MAX else math.inf
 
 
 UtilityFunction = SigmoidUtility | LogUtility

@@ -188,6 +188,14 @@ class TestRun:
         assert "nan" in capsys.readouterr().err
         assert not (tmp_path / "b").exists()
 
+    def test_oversized_integer_exits_2(self, tmp_path, capsys):
+        doc = scenario_to_dict(canonical_scenario(r_values=(60.0,)))
+        doc["R_values"] = [int("1" * 400)]  # a JSON integer beyond the largest double
+        cfg = tmp_path / "big.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert "R_values[0]" in capsys.readouterr().err
+
     def test_missing_config_exits_2(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path / "out")]) == 2
 

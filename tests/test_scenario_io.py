@@ -78,6 +78,8 @@ class TestParse:
             (lambda d: d.update(config={"solver": {"rel_tol": 1e-8}}), "config.solver.rel_tol"),
             (lambda d: d.update(extra=1), "scenario.extra"),
             (lambda d: d.update(config={"max_iter": 10.5}), "config.max_iter"),
+            (lambda d: d.update(R_values=[30, int("1" * 400)]), "R_values[1]"),
+            (lambda d: d["users"][0]["params"].update(b=10**309), "users[0].params.b"),
         ],
     )
     def test_diagnostics_name_the_field(self, mutate, needle):

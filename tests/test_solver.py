@@ -2,18 +2,103 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fairalloc import (
     LogUtility,
     NoRootError,
+    Scenario,
     SigmoidUtility,
     SolverConfig,
+    canonical_scenario,
     grid_oracle,
+    protocol,
+    run_sweep,
     solve_user_rate,
 )
 from fairalloc.solver import BRACKET_HI, HI_CAP, REL_TOL
+
+
+def plain_bisection(u, price, config):
+    """Reference solve: bisection that evaluates the log-slope at every midpoint.
+
+    ``solve_user_rate`` skips the evaluations whose outcome monotonicity
+    already decides, so it must return this very double.
+    """
+    lo = config.bracket_lo
+    hi = BRACKET_HI
+    if u.log_slope(lo) < price:
+        return lo
+    while u.log_slope(hi) > price:
+        if hi == HI_CAP:
+            raise NoRootError(f"log-slope still above price {price} at rate {HI_CAP}")
+        hi = min(2.0 * hi, HI_CAP)
+    while True:
+        mid = 0.5 * (lo + hi)
+        if hi - lo <= REL_TOL * mid or not lo < mid < hi:
+            return mid
+        if u.log_slope(mid) >= price:
+            lo = mid
+        else:
+            hi = mid
+
+
+def outcome(solve, u, price, config):
+    """The rate ``solve`` returns, or NoRootError if it raises that."""
+    try:
+        return solve(u, price, config)
+    except NoRootError:
+        return NoRootError
+
+
+def log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda x: 10.0**x)
+
+
+@st.composite
+def sigmoid_cases(draw):
+    u = SigmoidUtility(a=draw(log_uniform(1e-3, 1e2)), b=draw(log_uniform(1e-2, 1e4)))
+    if draw(st.booleans()):  # near the flat stretch's slope a(1 + e^-ab), where the root is ill-conditioned
+        sign = draw(st.sampled_from((-1.0, 1.0)))
+        return u, u.a * u.c * (1.0 + sign * 10.0 ** -draw(st.floats(0.5, 17.0)))
+    return u, draw(log_uniform(1e-12, 1e6))
+
+
+@st.composite
+def log_cases(draw):
+    u = LogUtility(k=draw(log_uniform(1e-4, 1e4)), r_max=draw(log_uniform(1.0, 1e4)))
+    return u, draw(log_uniform(1e-15, 1e8))
+
+
+configs = st.one_of(st.just(SolverConfig()), log_uniform(1e-300, 10.0).map(lambda lo: SolverConfig(bracket_lo=lo)))
+
+
+@pytest.fixture
+def slope_calls(monkeypatch):
+    """A list that grows by one entry per log_slope call, on either utility class."""
+    calls = []
+    for cls in (SigmoidUtility, LogUtility):
+        def counted(self, rate, original=cls.log_slope):
+            calls.append(rate)
+            return original(self, rate)
+
+        monkeypatch.setattr(cls, "log_slope", counted)
+    return calls
+
+
+def crowd_scenario(n_users=200, seed=1):
+    """A seeded mixed population: sigmoid users a ~ U[0.5, 5], b ~ U[5, 30], log users k log-uniform on [0.5, 15]."""
+    rng = np.random.default_rng(seed)
+    users = []
+    for i in range(n_users):
+        if i % 2 == 0:
+            u = SigmoidUtility(a=float(rng.uniform(0.5, 5.0)), b=float(rng.uniform(5.0, 30.0)))
+        else:
+            u = LogUtility(k=float(np.exp(rng.uniform(math.log(0.5), math.log(15.0)))), r_max=100.0)
+        users.append((f"u{i}", u))
+    sum_b = math.fsum(u.b for _, u in users if isinstance(u, SigmoidUtility))
+    return Scenario("crowd", tuple(users), tuple(f * sum_b for f in (0.9, 1.5, 3.0)))
 
 
 class TestSolverConfig:
@@ -86,12 +171,16 @@ class TestSolveUserRate:
             solve_user_rate(u, 1e-30)
 
     @pytest.mark.parametrize("root", [1e-70, 1e-290])
-    def test_resolves_roots_far_below_the_first_bracket(self, root):
+    def test_resolves_roots_far_below_the_first_bracket(self, root, slope_calls):
         # linear bisection from [bracket_lo, BRACKET_HI] needs ~1000 halvings
-        # to come down to 1e-290; the solve must not stop on a step count
+        # to come down to 1e-290; the solve must not stop on a step count,
+        # and the halvings outside the probed bracket cost no evaluation
         u = LogUtility(k=0.5, r_max=100.0)
         config = SolverConfig(bracket_lo=root * 1e-10)
-        assert solve_user_rate(u, u.log_slope(root), config) == pytest.approx(root, rel=1e-9)
+        price = u.log_slope(root)
+        slope_calls.clear()
+        assert solve_user_rate(u, price, config) == pytest.approx(root, rel=1e-9)
+        assert len(slope_calls) <= 8
 
     @pytest.mark.parametrize("price", [0.0, -1.0, math.nan, math.inf])
     def test_rejects_bad_price(self, price):
@@ -112,6 +201,55 @@ class TestSolveUserRate:
     def test_higher_price_never_buys_more_rate(self, table_utilities, idx, p1, factor):
         u = list(table_utilities.values())[idx]
         assert solve_user_rate(u, p1) >= solve_user_rate(u, p1 * factor)
+
+
+class TestSkippedEvaluations:
+    # The solver evaluates the log-slope only inside the bracket its probes
+    # around the utility's estimated root leave open; everywhere else the
+    # log-slope's monotonicity decides the bisection step. It must walk the
+    # same midpoints as plain bisection and return the same double.
+
+    @given(case=sigmoid_cases(), config=configs)
+    @example(case=(SigmoidUtility(a=5.0, b=10.0), 1e3), config=SolverConfig())  # pinned
+    @example(case=(SigmoidUtility(a=1e-3, b=1e4), 1e-12), config=SolverConfig())  # no root below HI_CAP
+    @example(case=(SigmoidUtility(a=1.0, b=800.0), 1.0), config=SolverConfig())  # e^-ab underflows; estimate inf
+    @settings(max_examples=300, deadline=None)
+    def test_sigmoid_matches_plain_bisection(self, case, config):
+        u, price = case
+        assert outcome(solve_user_rate, u, price, config) == outcome(plain_bisection, u, price, config)
+
+    @given(case=log_cases(), config=configs)
+    @example(case=(LogUtility(k=0.5, r_max=100.0), 2000.0), config=SolverConfig())  # pinned
+    @example(case=(LogUtility(k=0.5, r_max=100.0), 1e-6), config=SolverConfig())  # root above BRACKET_HI
+    @example(case=(LogUtility(k=0.5, r_max=100.0), 1e-15), config=SolverConfig())  # no root below HI_CAP
+    @example(case=(LogUtility(k=0.5, r_max=100.0), 1e3), config=SolverConfig(bracket_lo=1e-300))  # tiny root
+    @settings(max_examples=300, deadline=None)
+    def test_log_matches_plain_bisection(self, case, config):
+        u, price = case
+        assert outcome(solve_user_rate, u, price, config) == outcome(plain_bisection, u, price, config)
+
+    @pytest.mark.parametrize("estimate", [math.nan, math.inf, -1.0, 0.0, 1e-300, 3.0, 1e8])
+    def test_a_useless_estimate_falls_back_to_bisection(self, monkeypatch, table_utilities, estimate):
+        monkeypatch.setattr(SigmoidUtility, "estimate_rate", lambda self, price: estimate)
+        monkeypatch.setattr(LogUtility, "estimate_rate", lambda self, price: estimate)
+        config = SolverConfig(bracket_lo=1e-12)
+        for u in table_utilities.values():
+            for price in (1e-4, 0.05, 0.3, 2.0, 1e3):
+                assert solve_user_rate(u, price, config) == plain_bisection(u, price, config)
+
+    @pytest.mark.parametrize("scenario", [canonical_scenario(), crowd_scenario()], ids=["canonical", "crowd"])
+    def test_few_evaluations_per_solve(self, monkeypatch, slope_calls, scenario):
+        # plain bisection takes about 44 per solve on both populations
+        solves = []
+        solve = protocol.solve_user_rate
+
+        def counted(u, price, config):
+            solves.append(price)
+            return solve(u, price, config)
+
+        monkeypatch.setattr(protocol, "solve_user_rate", counted)
+        run_sweep(scenario)
+        assert len(slope_calls) < 8 * len(solves)
 
 
 class TestGridOracle:

@@ -141,6 +141,31 @@ class TestLogSlope:
                 assert u.log_slope(r) == pytest.approx(fd, rel=1e-6), (name, r)
 
 
+class TestEstimateRate:
+    def test_brackets_the_rounded_root(self, table_utilities):
+        # on the flat stretch the rounded slope ties across the bracket, which >= allows
+        for name, u in table_utilities.items():
+            for r in np.geomspace(1e-2, 500.0, 60):
+                price = u.log_slope(float(r))
+                if price > 0.0:
+                    e = u.estimate_rate(price)
+                    assert u.log_slope(e * (1.0 - 1e-9)) >= price >= u.log_slope(e * (1.0 + 1e-9)), (name, r)
+
+    @pytest.mark.parametrize(
+        "u,price,expected",
+        [
+            (SigmoidUtility(a=1.0, b=800.0), 1.0, math.inf),  # e^-ab underflows to 0 and price == a
+            (SigmoidUtility(a=1e10, b=1.0), 1e-300, math.inf),  # a / price overflows
+            (LogUtility(k=1e3, r_max=1.0), 5e-324, math.inf),  # log1p(k r) past 709
+            (SigmoidUtility(a=1e3, b=1e3), 1e-300, 1e3 + math.log(1e303) / 1e3),
+            (SigmoidUtility(a=1e-3, b=1.0), 1e300, 1e-300),  # the slope diverges like 1/r
+            (LogUtility(k=1e-3, r_max=1.0), 1e300, 1e-300),
+        ],
+    )
+    def test_extreme_prices_give_a_number_not_an_error(self, u, price, expected):
+        assert u.estimate_rate(price) == pytest.approx(expected, rel=1e-12)
+
+
 class TestQoeFit:
     def test_video_anchor_points(self):
         u = sigmoid_from_qoe(200.0, 0.05, 740.0, 0.99)
@@ -217,11 +242,44 @@ class TestCurveProperties:
         # asserted on the curated grid in TestLogSlope
         u = SigmoidUtility(a=a, b=b)
         r2 = r1 * factor
-        if a * r2 > 650.0:  # keep the far tail representable
-            r2 = 650.0 / a
+        if a * r2 > 705.0:  # past the a*r = 700 branch switch, but short of underflow
+            r2 = 705.0 / a
         if r2 <= r1:
             r1, r2 = 0.5 * r2, r2
         assert u.log_slope(r1) >= u.log_slope(r2) > 0.0
+
+    # The solver skips a log-slope evaluation whenever monotonicity decides
+    # its outcome, so the rounded slope must not rise even from one double
+    # to the next.
+
+    @given(
+        a=st.floats(1e-3, 1e2),
+        b=st.floats(1e-2, 1e4),
+        ar=st.floats(1e-9, 705.0),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_sigmoid_log_slope_never_rises_to_the_next_double(self, a, b, ar):
+        u = SigmoidUtility(a=a, b=b)
+        r = ar / a
+        assert u.log_slope(r) >= u.log_slope(math.nextafter(r, math.inf))
+
+    @given(a=st.floats(1e-3, 1e2), ab=st.floats(1.0, 800.0), switch=st.sampled_from((38.0, 700.0)))
+    @example(a=0.01276264944122313, ab=733.4409656817401, switch=700.0)  # e^-ab subnormal: rose by an ulp at 700
+    @settings(max_examples=300, deadline=None)
+    def test_sigmoid_log_slope_never_rises_across_a_branch_switch(self, a, ab, switch):
+        u = SigmoidUtility(a=a, b=ab / a)
+        r = switch / a
+        while a * r > switch:
+            r = math.nextafter(r, 0.0)
+        while a * math.nextafter(r, math.inf) <= switch:
+            r = math.nextafter(r, math.inf)
+        assert u.log_slope(r) >= u.log_slope(math.nextafter(r, math.inf))
+
+    @given(k=st.floats(1e-4, 1e4), r=st.floats(1e-300, 1e9))
+    @settings(max_examples=300, deadline=None)
+    def test_log_log_slope_never_rises_to_the_next_double(self, k, r):
+        u = LogUtility(k=k, r_max=100.0)
+        assert u.log_slope(r) >= u.log_slope(math.nextafter(r, math.inf))
 
     @given(
         k=st.floats(1e-3, 50.0),
