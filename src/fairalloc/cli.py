@@ -62,7 +62,7 @@ def _run_point(scenario, r: float, out: Path) -> list[tuple[str, ...]]:
     Only the rows outlive the call, so the trajectory is freed before the
     caller runs the next point.
     """
-    result = run_sweep(replace(scenario, r_values=(r,))).results[r]
+    result = run_sweep(replace(scenario, r_values=(r,)), trajectories=True).results[r]
     _write_trajectory(out / f"traj_R{_fmt_rate_label(r)}.csv", scenario.user_ids, result.trajectory)
     return [
         (

@@ -36,9 +36,11 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 
 from .solver import SolverConfig, solve_user_rate
+from .utility import SigmoidUtility
 
 __all__ = [
     "ExponentialDecay",
@@ -121,8 +123,10 @@ class AllocationResult:
 
     The final state is the last round's: ``final_rates``, ``final_bids``
     and ``final_price`` read ``trajectory[-1]``, and ``iterations_used``
-    is the number of rounds. A user pinned in a round has a rate equal
-    to the solver's ``bracket_lo`` exactly.
+    is its round number ``n`` (rounds count from 1). ``run_allocation``
+    returns every round; a ``run_sweep`` result may hold only the last
+    one, with the same final state and ``iterations_used``. A user pinned
+    in a round has a rate equal to the solver's ``bracket_lo`` exactly.
     """
 
     status: str
@@ -146,7 +150,7 @@ class AllocationResult:
 
     @property
     def iterations_used(self) -> int:
-        return len(self.trajectory)
+        return self.trajectory[-1].n
 
 
 def run_allocation(utilities, total_rate: float, config: AllocationConfig = AllocationConfig()) -> AllocationResult:
@@ -155,7 +159,9 @@ def run_allocation(utilities, total_rate: float, config: AllocationConfig = Allo
     A pure function of its arguments: identical inputs give identical
     trajectories. A cell rate below the users' pinned floor (each user
     holds at least ``bracket_lo``) has no equilibrium and is rejected up
-    front.
+    front, as is a user whose ``a`` or ``k`` times ``bracket_lo`` is
+    below the smallest normal double, where its log-slope would divide by
+    zero.
     """
     utilities = tuple(utilities)
     if not utilities:
@@ -169,6 +175,16 @@ def run_allocation(utilities, total_rate: float, config: AllocationConfig = Allo
             f"total rate R={total_rate} is below the pinned floor {floor} "
             f"({len(utilities)} users x bracket_lo {solver.bracket_lo})"
         )
+    for i, u in enumerate(utilities):
+        # log_slope divides by a function of a*rate (sigmoid) or k*rate (log)
+        # that is 0 when the product underflows
+        name = "a" if isinstance(u, SigmoidUtility) else "k"
+        scale = getattr(u, name)
+        if scale * solver.bracket_lo < sys.float_info.min:
+            raise ValueError(
+                f"user {i}: {name}={scale} times bracket_lo {solver.bracket_lo} is below the smallest "
+                f"normal double {sys.float_info.min}, so its log-slope cannot be evaluated at the pinned floor"
+            )
     decay = config.decay
     bids = (config.initial_bid,) * len(utilities)
     records: list[IterationRecord] = []

@@ -164,6 +164,8 @@ def load_scenario(path) -> Scenario:
         raise ScenarioFormatError(
             f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:  # an integer literal longer than the interpreter converts
+        raise ScenarioFormatError(f"{path}: {exc}") from exc
     return parse_scenario(doc)
 
 

@@ -97,14 +97,25 @@ def canonical_scenario(r_values=None, config: AllocationConfig | None = None) ->
     )
 
 
-def run_sweep(scenario: Scenario) -> SweepResult:
-    """One independent allocation per rate value, in ascending order."""
+def run_sweep(scenario: Scenario, *, trajectories: bool = False) -> SweepResult:
+    """One independent allocation per rate value, in ascending order.
+
+    By default each point's result keeps only its last round: its
+    ``status``, ``final_*`` and ``iterations_used`` are those of the full
+    run, and its ``trajectory`` is that run's last record, so a sweep
+    holds one record per point however many rounds the points take.
+    ``trajectories=True`` keeps every round, giving each point exactly
+    the result ``run_allocation`` returns.
+    """
     results: dict[float, AllocationResult] = {}
     for r in scenario.r_values:
         try:
-            results[r] = run_allocation(scenario.utilities, r, scenario.config)
+            result = run_allocation(scenario.utilities, r, scenario.config)
         except (ValueError, RuntimeError) as exc:
             raise SweepError(r, exc) from exc
+        if not trajectories:  # cut before the next point runs, so one full trajectory is alive at a time
+            result = replace(result, trajectory=result.trajectory[-1:])
+        results[r] = result
     return SweepResult(results)
 
 

@@ -21,7 +21,10 @@ have sent it. Bisection therefore walks the same midpoints as plain
 bisection and returns the same double; only the midpoints inside the
 certified bracket are evaluated. An estimate that is nan, infinite or
 far off only costs speed: the probes then certify little or nothing and
-bisection evaluates as it would without them.
+bisection evaluates as it would without them. The probes come before
+the boundary checks below, so a probe that certifies ``below`` also
+settles the pinned check, and one that certifies ``above`` the test for
+a doubling, without evaluating the bracket's end.
 
 Boundary handling:
 
@@ -92,16 +95,17 @@ def solve_user_rate(u: UtilityFunction, price: float, config: SolverConfig = _DE
         raise ValueError(f"price must be positive and finite, got {price}")
     lo = config.bracket_lo
     hi = BRACKET_HI
-    if u.log_slope(lo) < price:
+    below, above = _certified_bracket(u, price, lo, hi)
+    if below == lo and u.log_slope(lo) < price:
         return lo  # pinned: even the smallest tradable rate is too expensive
-    while u.log_slope(hi) > price:
+    while above == hi and u.log_slope(hi) > price:
         if hi == HI_CAP:
             raise NoRootError(
                 f"log-slope still above price {price} at rate {HI_CAP}; "
                 "price too small to meet within the bracket cap"
             )
         hi = min(2.0 * hi, HI_CAP)
-    below, above = _certified_bracket(u, price, lo, hi)
+        below, above = _certified_bracket(u, price, below, hi)
     while True:
         mid = 0.5 * (lo + hi)
         if hi - lo <= REL_TOL * mid or not lo < mid < hi:
@@ -115,11 +119,12 @@ def solve_user_rate(u: UtilityFunction, price: float, config: SolverConfig = _DE
 def _certified_bracket(u: UtilityFunction, price: float, lo: float, hi: float) -> tuple[float, float]:
     """Evaluated rates ``below`` and ``above`` closest around ``u``'s estimated root.
 
-    log_slope(below) >= price, and log_slope(above) < price unless above
-    is ``hi``. Probes go either side of the estimate at each of
-    PROBE_STEPS in turn until the two nearest enclose the root. A probe
-    outside (below, above), nan included, is skipped, so each widening
-    costs at most one evaluation and a useless estimate costs none.
+    log_slope(below) >= price unless below is ``lo``, and
+    log_slope(above) < price unless above is ``hi``. Probes go either
+    side of the estimate at each of PROBE_STEPS in turn until the two
+    nearest enclose the root. A probe outside (below, above), nan
+    included, is skipped, so each widening costs at most one evaluation
+    and a useless estimate costs none.
     """
     below, above = lo, hi
     guess = u.estimate_rate(price)

@@ -285,7 +285,7 @@ def test_07_price_monotonicity():
     # price: monotonicity is asserted over the converged points, and each
     # capped point's cycle must surround its equilibrium price instead
     sc = canonical_scenario()
-    sweep = run_sweep(sc)
+    sweep = run_sweep(sc, trajectories=True)  # the late prices of capped points are read below
     problems = []
     converged = []
     for R, res in sweep.results.items():

@@ -91,7 +91,7 @@ class TestRun:
         real_run_sweep = cli.run_sweep
         calls = []
 
-        def one_point_sweep(scenario):
+        def one_point_sweep(scenario, **kwargs):
             assert len(scenario.r_values) == 1
             if calls:  # the previous point's trajectory is complete before this one runs
                 r_prev, iterations = calls[-1]
@@ -99,7 +99,7 @@ class TestRun:
                 assert text.endswith("\n")
                 assert len(text.splitlines()) == 1 + 6 * iterations
             assert not (out / "summary.csv").exists()
-            sweep = real_run_sweep(scenario)
+            sweep = real_run_sweep(scenario, **kwargs)
             (r,) = scenario.r_values
             calls.append((r, sweep.results[r].iterations_used))
             return sweep
@@ -196,6 +196,30 @@ class TestRun:
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
         assert "R_values[0]" in capsys.readouterr().err
 
+    def test_integer_past_the_digit_limit_exits_2_naming_the_file(self, tmp_path, capsys):
+        # json refuses to convert an integer literal of more than 4300 digits
+        doc = scenario_to_dict(canonical_scenario(r_values=(60.0,)))
+        cfg = tmp_path / "huge.json"
+        cfg.write_text(json.dumps(doc).replace("[60.0]", "[" + "1" * 5000 + "]"))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}: ")
+        assert "Traceback" not in err
+
+    def test_underflowing_slope_scale_exits_non_zero_without_traceback(self, tmp_path, capsys):
+        doc = {
+            "name": "tiny-k",
+            "users": [{"id": "lone", "type": "log", "params": {"k": 1e-30, "r_max": 1e30}}],
+            "R_values": [30],
+            "config": {"solver": {"bracket_lo": 1e-300}},
+        }
+        cfg = tmp_path / "tiny.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) != 0
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "bracket_lo" in err and "Traceback" not in err
+
     def test_missing_config_exits_2(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path / "out")]) == 2
 
@@ -264,7 +288,7 @@ class TestUsage:
         taken = tmp_path / "taken"
         taken.write_text("a file, not a directory\n")
 
-        def no_sweep(scenario):
+        def no_sweep(scenario, **kwargs):
             raise AssertionError("run_sweep was called with an unusable --out")
 
         monkeypatch.setattr(cli, "run_sweep", no_sweep)

@@ -270,6 +270,18 @@ class TestRunAllocation:
             run_allocation(canonical_scenario().utilities, total_rate)
 
     @pytest.mark.parametrize(
+        "user, name",
+        [(LogUtility(k=1e-30, r_max=1e30), "k"), (SigmoidUtility(a=1e-30, b=10.0), "a")],
+        ids=["log", "sigmoid"],
+    )
+    def test_rejects_a_slope_scale_that_underflows_at_the_floor(self, user, name):
+        # k * bracket_lo (or a * bracket_lo) rounds to 0, where log_slope would divide by zero
+        config = AllocationConfig(solver=SolverConfig(bracket_lo=1e-300))
+        users = [LogUtility(k=3.0, r_max=100.0), user]
+        with pytest.raises(ValueError, match=rf"user 1: {name}=1e-30 times bracket_lo 1e-300"):
+            run_allocation(users, 30.0, config)
+
+    @pytest.mark.parametrize(
         "kwargs",
         [
             {"delta": 0.0},

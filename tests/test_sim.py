@@ -1,8 +1,11 @@
+import tracemalloc
 from dataclasses import replace
 
 import pytest
 
 from fairalloc import (
+    ITERATION_CAP,
+    AllocationConfig,
     ExponentialDecay,
     LogUtility,
     Scenario,
@@ -77,10 +80,37 @@ class TestRunSweep:
 
     def test_points_are_independent(self):
         sc = canonical_scenario(r_values=[30.0, 60.0])
-        sweep = run_sweep(sc)
-        alone = run_sweep(canonical_scenario(r_values=[60.0])).results[60.0]
+        sweep = run_sweep(sc, trajectories=True)
+        alone = run_sweep(canonical_scenario(r_values=[60.0]), trajectories=True).results[60.0]
         direct = run_allocation(sc.utilities, 60.0, sc.config)
         assert sweep.results[60.0] == alone == direct
+
+    @pytest.mark.parametrize("r", [20.0, 60.0], ids=["capped", "converged"])
+    def test_keeps_each_points_last_round_unless_asked(self, r):
+        sc = canonical_scenario(r_values=[r])
+        full = run_allocation(sc.utilities, r, sc.config)
+        assert run_sweep(sc, trajectories=True).results[r] == full
+        kept = run_sweep(sc).results[r]
+        assert kept == replace(full, trajectory=full.trajectory[-1:])
+        assert kept.iterations_used == full.iterations_used == len(full.trajectory) > 1
+
+    def test_memory_follows_one_point_not_the_sweep(self):
+        # Every point below cycles to the cap, so each runs max_iter rounds.
+        # Keeping every point's full trajectory peaked at 5.6x the one-point
+        # sweep; keeping each point's last round peaks at 1.05x, since only
+        # the running point's trajectory is whole.
+        config = AllocationConfig(max_iter=200)
+        run_sweep(canonical_scenario(r_values=[5.0], config=config))  # one-time allocations stay out of the peaks
+        peaks = {}
+        for rates in ([5.0], [5.0, 10.0, 15.0, 20.0]):
+            tracemalloc.start()
+            try:
+                sweep = run_sweep(canonical_scenario(r_values=rates, config=config))
+                peaks[len(rates)] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert {res.status for res in sweep.results.values()} == {ITERATION_CAP}
+        assert peaks[4] < 1.25 * peaks[1]
 
     def test_preserves_rate_order(self):
         sweep = run_sweep(canonical_scenario(r_values=[30.0, 60.0, 65.0]))

@@ -239,7 +239,9 @@ class TestSkippedEvaluations:
 
     @pytest.mark.parametrize("scenario", [canonical_scenario(), crowd_scenario()], ids=["canonical", "crowd"])
     def test_few_evaluations_per_solve(self, monkeypatch, slope_calls, scenario):
-        # plain bisection takes about 44 per solve on both populations
+        # plain bisection takes about 44 per solve on both populations; the
+        # probes alone take about 2, and a certified probe spares the
+        # evaluations at the bracket's ends
         solves = []
         solve = protocol.solve_user_rate
 
@@ -249,7 +251,7 @@ class TestSkippedEvaluations:
 
         monkeypatch.setattr(protocol, "solve_user_rate", counted)
         run_sweep(scenario)
-        assert len(slope_calls) < 8 * len(solves)
+        assert len(slope_calls) <= 3 * len(solves)
 
 
 class TestGridOracle:
