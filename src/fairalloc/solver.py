@@ -26,6 +26,28 @@ the boundary checks below, so a probe that certifies ``below`` also
 settles the pinned check, and one that certifies ``above`` the test for
 a doubling, without evaluating the bracket's end.
 
+Most levels of the walk are skipped outright, and each shortcut lands
+on the very bracket the full walk reaches, so the returned double is
+unchanged:
+
+* the table: every solve with one ``bracket_lo`` walks the same tree of
+  midpoints from [bracket_lo, BRACKET_HI]. Its first ``TABLE_DEPTH``
+  levels are kept as a sorted table, built once per ``bracket_lo`` with
+  the walk's own midpoint expression (and left empty for a bracket so
+  narrow that the stop rule could fire within them). When no node lies
+  strictly inside (below, above), each of those levels is decided by
+  monotonicity, and one binary search finds the leaf the walk reaches;
+* tiny brackets: while ``bracket_lo`` is under half an ulp of the upper
+  end, the midpoints are exactly hi/2, hi/4, ..., so the levels that
+  stay above ``above`` are jumped with ``ldexp``;
+* one-comparison levels: a bracket wider than 4*REL_TOL*above cannot
+  fire the stop rule, so such a level costs one comparison, ``mid <=
+  below``. Should a midpoint land inside (below, above), where only an
+  evaluation decides, the bracket ends below ``above`` and those levels
+  are walked again the full way.
+
+The remaining levels, a few per solve, take the full loop.
+
 Boundary handling:
 
 * price above the slope at the lower bracket: the user can afford
@@ -50,12 +72,15 @@ touches the derivative.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .utility import UtilityFunction
+from .utility import SigmoidUtility, UtilityFunction
 
 __all__ = ["SolverConfig", "NoRootError", "solve_user_rate", "grid_oracle"]
 
@@ -64,6 +89,7 @@ BRACKET_HI = 1e3  # first upper bracket, doubled while the root lies above it
 HI_CAP = 1e9  # largest rate the upper bracket may grow to
 REL_TOL = 1e-10  # bracket width, relative to its midpoint, at which bisection stops
 PROBE_STEPS = (1e-12, 1e-8, 1e-4)  # relative distances of the probes from the estimated root, in turn
+TABLE_DEPTH = 14  # bisection levels jumped through a table of the midpoints: 2**14 + 1 doubles
 
 
 class NoRootError(RuntimeError):
@@ -89,46 +115,87 @@ def solve_user_rate(u: UtilityFunction, price: float, config: SolverConfig = _DE
     and stops once the bracket width falls below REL_TOL of its midpoint
     or the midpoint no longer lies strictly inside the bracket. A midpoint
     outside the probed bracket (below, above) is decided without an
-    evaluation. Identical inputs give bit-identical results.
+    evaluation. Identical inputs give bit-identical results. A log-slope
+    that divides by zero (``a`` or ``k`` times a rate underflows) raises
+    ValueError.
     """
     if price <= 0.0 or not math.isfinite(price):
         raise ValueError(f"price must be positive and finite, got {price}")
     lo = config.bracket_lo
     hi = BRACKET_HI
-    below, above = _certified_bracket(u, price, lo, hi)
-    if below == lo and u.log_slope(lo) < price:
-        return lo  # pinned: even the smallest tradable rate is too expensive
-    while above == hi and u.log_slope(hi) > price:
-        if hi == HI_CAP:
-            raise NoRootError(
-                f"log-slope still above price {price} at rate {HI_CAP}; "
-                "price too small to meet within the bracket cap"
-            )
-        hi = min(2.0 * hi, HI_CAP)
-        below, above = _certified_bracket(u, price, below, hi)
-    while True:
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= REL_TOL * mid or not lo < mid < hi:
-            return mid
-        if mid <= below or (mid < above and u.log_slope(mid) >= price):
-            lo = mid
+    try:
+        guess = u.estimate_rate(price)
+        x, y = guess * (1.0 - PROBE_STEPS[0]), guess * (1.0 + PROBE_STEPS[0])
+        if not lo < x < y < hi:
+            below, above = _certified_bracket(u, price, guess, lo, hi, lo, hi, PROBE_STEPS)
+        elif u.log_slope(x) < price:  # y lies above the certified x, so it is never evaluated
+            below, above = _certified_bracket(u, price, guess, lo, hi, lo, x, PROBE_STEPS[1:])
+        elif u.log_slope(y) >= price:
+            below, above = _certified_bracket(u, price, guess, lo, hi, y, hi, PROBE_STEPS[1:])
         else:
-            hi = mid
+            below, above = x, y
+        if below == lo and u.log_slope(lo) < price:
+            return lo  # pinned: even the smallest tradable rate is too expensive
+        while above == hi and u.log_slope(hi) > price:
+            if hi == HI_CAP:
+                raise NoRootError(
+                    f"log-slope still above price {price} at rate {HI_CAP}; "
+                    "price too small to meet within the bracket cap"
+                )
+            hi = min(2.0 * hi, HI_CAP)
+            below, above = _certified_bracket(u, price, guess, below, hi, below, hi, PROBE_STEPS)
+        if hi == BRACKET_HI:
+            nodes = _tree_nodes(lo)
+            i = bisect.bisect_right(nodes, below)
+            if nodes[i] >= above:  # no node inside (below, above): every level down to the leaf is decided
+                lo, hi = nodes[i - 1], nodes[i]
+        if lo + hi == hi:  # lo is under half an ulp of hi, so the midpoints are hi/2, hi/4, ... exactly
+            e = math.frexp(hi)[1]
+            k = min(e - math.frexp(lo)[1] - 54, e - math.frexp(above)[1] - 1)
+            if k > 0:
+                hi = math.ldexp(hi, -k)
+        start = lo, hi
+        # a bracket wider than `stop` cannot fire the stop rule (a normal
+        # `stop` also keeps each midpoint strictly inside it); the bracket
+        # halves per level, so it stays wider for frexp(width / stop) - 1 levels
+        stop = max(4.0 * REL_TOL * above, sys.float_info.min)
+        for _ in range(math.frexp((hi - lo) / stop)[1] - 1):
+            mid = 0.5 * (lo + hi)
+            if mid <= below:
+                lo = mid
+            else:
+                hi = mid
+        if hi < above:  # a midpoint fell inside (below, above), where only an evaluation decides
+            lo, hi = start
+        while True:
+            mid = 0.5 * (lo + hi)
+            if hi - lo <= REL_TOL * mid or not lo < mid < hi:
+                return mid
+            if mid <= below or (mid < above and u.log_slope(mid) >= price):
+                lo = mid
+            else:
+                hi = mid
+    except ZeroDivisionError:
+        name = "a" if isinstance(u, SigmoidUtility) else "k"
+        raise ValueError(
+            f"{name}={getattr(u, name)} times bracket_lo {config.bracket_lo} underflows, "
+            "so the log-slope cannot be evaluated near the pinned floor"
+        ) from None
 
 
-def _certified_bracket(u: UtilityFunction, price: float, lo: float, hi: float) -> tuple[float, float]:
-    """Evaluated rates ``below`` and ``above`` closest around ``u``'s estimated root.
+def _certified_bracket(
+    u: UtilityFunction, price: float, guess: float, lo: float, hi: float, below: float, above: float, steps
+) -> tuple[float, float]:
+    """Evaluated rates ``below`` and ``above`` closest around the estimated root ``guess``.
 
     log_slope(below) >= price unless below is ``lo``, and
-    log_slope(above) < price unless above is ``hi``. Probes go either
-    side of the estimate at each of PROBE_STEPS in turn until the two
-    nearest enclose the root. A probe outside (below, above), nan
-    included, is skipped, so each widening costs at most one evaluation
-    and a useless estimate costs none.
+    log_slope(above) < price unless above is ``hi``. Starting from the
+    given (below, above), probes go either side of the estimate at each
+    of ``steps`` in turn until the two nearest enclose the root. A probe
+    outside (below, above), nan included, is skipped, so each widening
+    costs at most one evaluation and a useless estimate costs none.
     """
-    below, above = lo, hi
-    guess = u.estimate_rate(price)
-    for step in PROBE_STEPS:
+    for step in steps:
         for x in (guess * (1.0 - step), guess * (1.0 + step)):
             if below < x < above:
                 if u.log_slope(x) >= price:
@@ -138,6 +205,25 @@ def _certified_bracket(u: UtilityFunction, price: float, lo: float, hi: float) -
         if below > lo and above < hi:
             break
     return below, above
+
+
+@functools.lru_cache(maxsize=4)
+def _tree_nodes(bracket_lo: float) -> tuple[float, ...]:
+    """Bisection's midpoints from [bracket_lo, BRACKET_HI] down to TABLE_DEPTH levels, ascending, both ends included.
+
+    Computed with the walk's own expression, so each is the very double
+    the walk reaches. A bracket too narrow for the stop rule to stay
+    silent over all those levels (by the bound of the one-comparison
+    levels) gets no midpoints.
+    """
+    nodes = [bracket_lo, BRACKET_HI]
+    if BRACKET_HI - bracket_lo > 2**TABLE_DEPTH * 4.0 * REL_TOL * BRACKET_HI:
+        for _ in range(TABLE_DEPTH):
+            deeper = [BRACKET_HI] * (2 * len(nodes) - 1)
+            deeper[0::2] = nodes
+            deeper[1::2] = [0.5 * (lo + hi) for lo, hi in zip(nodes, nodes[1:])]
+            nodes = deeper
+    return tuple(nodes)
 
 
 def grid_oracle(u: UtilityFunction, price: float, r_grid) -> float:

@@ -6,6 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fairalloc import (
+    AllocationConfig,
+    ExponentialDecay,
     LogUtility,
     NoRootError,
     Scenario,
@@ -74,8 +76,7 @@ def log_cases(draw):
 configs = st.one_of(st.just(SolverConfig()), log_uniform(1e-300, 10.0).map(lambda lo: SolverConfig(bracket_lo=lo)))
 
 
-@pytest.fixture
-def slope_calls(monkeypatch):
+def count_slope_calls(monkeypatch):
     """A list that grows by one entry per log_slope call, on either utility class."""
     calls = []
     for cls in (SigmoidUtility, LogUtility):
@@ -85,6 +86,11 @@ def slope_calls(monkeypatch):
 
         monkeypatch.setattr(cls, "log_slope", counted)
     return calls
+
+
+@pytest.fixture
+def slope_calls(monkeypatch):
+    return count_slope_calls(monkeypatch)
 
 
 def crowd_scenario(n_users=200, seed=1):
@@ -99,6 +105,46 @@ def crowd_scenario(n_users=200, seed=1):
         users.append((f"u{i}", u))
     sum_b = math.fsum(u.b for _, u in users if isinstance(u, SigmoidUtility))
     return Scenario("crowd", tuple(users), tuple(f * sum_b for f in (0.9, 1.5, 3.0)))
+
+
+SWEEPS = {
+    "canonical": canonical_scenario,
+    "crowd": crowd_scenario,
+    # a slice of the damped sweep over R = 2..120, whose prices creep slowly
+    "damped": lambda: canonical_scenario(
+        r_values=tuple(float(r) for r in range(2, 121, 13)),
+        config=AllocationConfig(decay=ExponentialDecay(5.0, 10.0)),
+    ),
+}
+
+
+@pytest.fixture(scope="module", params=list(SWEEPS))
+def sweep_traffic(request):
+    """Every (u, price, config) a sweep passes to ``protocol.solve_user_rate``, and the log_slope calls they made."""
+    solves = []
+    solve = protocol.solve_user_rate
+
+    def recorded(u, price, config):
+        solves.append((u, price, config))
+        return solve(u, price, config)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(protocol, "solve_user_rate", recorded)
+        calls = count_slope_calls(mp)
+        run_sweep(SWEEPS[request.param]())
+    return solves, len(calls)
+
+
+def walk_midpoint(target, depth, config):
+    """The midpoint that plain bisection from [bracket_lo, BRACKET_HI] towards ``target`` computes at level ``depth``."""
+    lo, hi = config.bracket_lo, BRACKET_HI
+    for _ in range(depth - 1):
+        mid = 0.5 * (lo + hi)
+        if mid <= target:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 class TestSolverConfig:
@@ -172,15 +218,25 @@ class TestSolveUserRate:
 
     @pytest.mark.parametrize("root", [1e-70, 1e-290])
     def test_resolves_roots_far_below_the_first_bracket(self, root, slope_calls):
-        # linear bisection from [bracket_lo, BRACKET_HI] needs ~1000 halvings
+        # plain bisection from [bracket_lo, BRACKET_HI] takes ~1000 halvings
         # to come down to 1e-290; the solve must not stop on a step count,
         # and the halvings outside the probed bracket cost no evaluation
         u = LogUtility(k=0.5, r_max=100.0)
         config = SolverConfig(bracket_lo=root * 1e-10)
         price = u.log_slope(root)
         slope_calls.clear()
-        assert solve_user_rate(u, price, config) == pytest.approx(root, rel=1e-9)
+        rate = solve_user_rate(u, price, config)
         assert len(slope_calls) <= 8
+        assert rate == pytest.approx(root, rel=1e-9)
+        assert rate == plain_bisection(u, price, config)
+
+    @pytest.mark.parametrize(
+        "u, name", [(LogUtility(k=1e-30, r_max=1e30), "k"), (SigmoidUtility(a=1e-30, b=1.0), "a")], ids=["log", "sigmoid"]
+    )
+    def test_underflowing_slope_is_a_value_error(self, u, name):
+        # name * bracket_lo underflows to 0, and the log-slope divides by it
+        with pytest.raises(ValueError, match=rf"{name}=1e-30 times bracket_lo 1e-300"):
+            solve_user_rate(u, 1e300, SolverConfig(bracket_lo=1e-300))
 
     @pytest.mark.parametrize("price", [0.0, -1.0, math.nan, math.inf])
     def test_rejects_bad_price(self, price):
@@ -237,21 +293,31 @@ class TestSkippedEvaluations:
             for price in (1e-4, 0.05, 0.3, 2.0, 1e3):
                 assert solve_user_rate(u, price, config) == plain_bisection(u, price, config)
 
-    @pytest.mark.parametrize("scenario", [canonical_scenario(), crowd_scenario()], ids=["canonical", "crowd"])
-    def test_few_evaluations_per_solve(self, monkeypatch, slope_calls, scenario):
-        # plain bisection takes about 44 per solve on both populations; the
+    def test_few_evaluations_per_solve(self, sweep_traffic):
+        # plain bisection takes about 44 per solve on these populations; the
         # probes alone take about 2, and a certified probe spares the
         # evaluations at the bracket's ends
-        solves = []
-        solve = protocol.solve_user_rate
+        solves, evaluations = sweep_traffic
+        assert evaluations <= 3 * len(solves)
 
-        def counted(u, price, config):
-            solves.append(price)
-            return solve(u, price, config)
+    def test_sweep_solves_match_plain_bisection(self, sweep_traffic):
+        # the prices a real run announces, including those cycling on a
+        # sigmoid's flat stretch, where one ulp changes the walk; the
+        # stride, prime to the user counts, keeps the test fast
+        solves, _ = sweep_traffic
+        for u, price, config in solves[::7]:
+            assert solve_user_rate(u, price, config) == plain_bisection(u, price, config)
 
-        monkeypatch.setattr(protocol, "solve_user_rate", counted)
-        run_sweep(scenario)
-        assert len(slope_calls) <= 3 * len(solves)
+    @pytest.mark.parametrize("depth", [3, 7, 13, 14, 15, 20, 30])
+    def test_roots_on_a_bisection_midpoint(self, table_utilities, depth):
+        # a root exactly on a midpoint puts that midpoint inside the probed
+        # bracket, where only an evaluation decides: the table's leaf (depth
+        # <= 14) or the one-comparison levels (deeper) must not be taken
+        config = SolverConfig()
+        for u in table_utilities.values():
+            for target in (0.05, 3.0, 12.0, 40.0):
+                price = u.log_slope(walk_midpoint(target, depth, config))
+                assert solve_user_rate(u, price, config) == plain_bisection(u, price, config)
 
 
 class TestGridOracle:
