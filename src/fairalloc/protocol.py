@@ -40,7 +40,7 @@ import sys
 from dataclasses import dataclass, field
 
 from .solver import SolverConfig, solve_user_rate
-from .utility import SigmoidUtility
+from .utility import slope_scale
 
 __all__ = [
     "ExponentialDecay",
@@ -176,10 +176,7 @@ def run_allocation(utilities, total_rate: float, config: AllocationConfig = Allo
             f"({len(utilities)} users x bracket_lo {solver.bracket_lo})"
         )
     for i, u in enumerate(utilities):
-        # log_slope divides by a function of a*rate (sigmoid) or k*rate (log)
-        # that is 0 when the product underflows
-        name = "a" if isinstance(u, SigmoidUtility) else "k"
-        scale = getattr(u, name)
+        name, scale = slope_scale(u)
         if scale * solver.bracket_lo < sys.float_info.min:
             raise ValueError(
                 f"user {i}: {name}={scale} times bracket_lo {solver.bracket_lo} is below the smallest "

@@ -30,13 +30,6 @@ Most levels of the walk are skipped outright, and each shortcut lands
 on the very bracket the full walk reaches, so the returned double is
 unchanged:
 
-* the table: every solve with one ``bracket_lo`` walks the same tree of
-  midpoints from [bracket_lo, BRACKET_HI]. Its first ``TABLE_DEPTH``
-  levels are kept as a sorted table, built once per ``bracket_lo`` with
-  the walk's own midpoint expression (and left empty for a bracket so
-  narrow that the stop rule could fire within them). When no node lies
-  strictly inside (below, above), each of those levels is decided by
-  monotonicity, and one binary search finds the leaf the walk reaches;
 * tiny brackets: while ``bracket_lo`` is under half an ulp of the upper
   end, the midpoints are exactly hi/2, hi/4, ..., so the levels that
   stay above ``above`` are jumped with ``ldexp``;
@@ -72,15 +65,13 @@ touches the derivative.
 
 from __future__ import annotations
 
-import bisect
-import functools
 import math
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .utility import SigmoidUtility, UtilityFunction
+from .utility import UtilityFunction, slope_scale
 
 __all__ = ["SolverConfig", "NoRootError", "solve_user_rate", "grid_oracle"]
 
@@ -89,7 +80,6 @@ BRACKET_HI = 1e3  # first upper bracket, doubled while the root lies above it
 HI_CAP = 1e9  # largest rate the upper bracket may grow to
 REL_TOL = 1e-10  # bracket width, relative to its midpoint, at which bisection stops
 PROBE_STEPS = (1e-12, 1e-8, 1e-4)  # relative distances of the probes from the estimated root, in turn
-TABLE_DEPTH = 14  # bisection levels jumped through a table of the midpoints: 2**14 + 1 doubles
 
 
 class NoRootError(RuntimeError):
@@ -144,11 +134,6 @@ def solve_user_rate(u: UtilityFunction, price: float, config: SolverConfig = _DE
                 )
             hi = min(2.0 * hi, HI_CAP)
             below, above = _certified_bracket(u, price, guess, below, hi, below, hi, PROBE_STEPS)
-        if hi == BRACKET_HI:
-            nodes = _tree_nodes(lo)
-            i = bisect.bisect_right(nodes, below)
-            if nodes[i] >= above:  # no node inside (below, above): every level down to the leaf is decided
-                lo, hi = nodes[i - 1], nodes[i]
         if lo + hi == hi:  # lo is under half an ulp of hi, so the midpoints are hi/2, hi/4, ... exactly
             e = math.frexp(hi)[1]
             k = min(e - math.frexp(lo)[1] - 54, e - math.frexp(above)[1] - 1)
@@ -176,9 +161,9 @@ def solve_user_rate(u: UtilityFunction, price: float, config: SolverConfig = _DE
             else:
                 hi = mid
     except ZeroDivisionError:
-        name = "a" if isinstance(u, SigmoidUtility) else "k"
+        name, scale = slope_scale(u)
         raise ValueError(
-            f"{name}={getattr(u, name)} times bracket_lo {config.bracket_lo} underflows, "
+            f"{name}={scale} times bracket_lo {config.bracket_lo} underflows, "
             "so the log-slope cannot be evaluated near the pinned floor"
         ) from None
 
@@ -205,25 +190,6 @@ def _certified_bracket(
         if below > lo and above < hi:
             break
     return below, above
-
-
-@functools.lru_cache(maxsize=4)
-def _tree_nodes(bracket_lo: float) -> tuple[float, ...]:
-    """Bisection's midpoints from [bracket_lo, BRACKET_HI] down to TABLE_DEPTH levels, ascending, both ends included.
-
-    Computed with the walk's own expression, so each is the very double
-    the walk reaches. A bracket too narrow for the stop rule to stay
-    silent over all those levels (by the bound of the one-comparison
-    levels) gets no midpoints.
-    """
-    nodes = [bracket_lo, BRACKET_HI]
-    if BRACKET_HI - bracket_lo > 2**TABLE_DEPTH * 4.0 * REL_TOL * BRACKET_HI:
-        for _ in range(TABLE_DEPTH):
-            deeper = [BRACKET_HI] * (2 * len(nodes) - 1)
-            deeper[0::2] = nodes
-            deeper[1::2] = [0.5 * (lo + hi) for lo, hi in zip(nodes, nodes[1:])]
-            nodes = deeper
-    return tuple(nodes)
 
 
 def grid_oracle(u: UtilityFunction, price: float, r_grid) -> float:

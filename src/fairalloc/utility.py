@@ -185,6 +185,15 @@ class LogUtility:
 UtilityFunction = SigmoidUtility | LogUtility
 
 
+def slope_scale(u: UtilityFunction) -> tuple[str, float]:
+    """Name and value of the parameter that multiplies the rate in ``log_slope``: ``a`` or ``k``.
+
+    ``log_slope`` divides by a function of that product (a*rate for a
+    sigmoid, k*rate for a log curve) that is 0 when the product underflows.
+    """
+    return ("a", u.a) if isinstance(u, SigmoidUtility) else ("k", u.k)
+
+
 def sigmoid_from_qoe(r_low, s_low, r_high, s_high) -> SigmoidUtility:
     """Fit a sigmoid to two measured (rate, satisfaction) anchor points.
 

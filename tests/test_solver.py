@@ -311,8 +311,8 @@ class TestSkippedEvaluations:
     @pytest.mark.parametrize("depth", [3, 7, 13, 14, 15, 20, 30])
     def test_roots_on_a_bisection_midpoint(self, table_utilities, depth):
         # a root exactly on a midpoint puts that midpoint inside the probed
-        # bracket, where only an evaluation decides: the table's leaf (depth
-        # <= 14) or the one-comparison levels (deeper) must not be taken
+        # bracket, where only an evaluation decides: the one-comparison
+        # levels must fall back to the full loop, however deep the midpoint
         config = SolverConfig()
         for u in table_utilities.values():
             for target in (0.05, 3.0, 12.0, 40.0):
