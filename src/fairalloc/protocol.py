@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import sys
 from dataclasses import dataclass, field
 
 from .solver import SolverConfig, solve_user_rate
@@ -159,9 +158,8 @@ def run_allocation(utilities, total_rate: float, config: AllocationConfig = Allo
     A pure function of its arguments: identical inputs give identical
     trajectories. A cell rate below the users' pinned floor (each user
     holds at least ``bracket_lo``) has no equilibrium and is rejected up
-    front, as is a user whose ``a`` or ``k`` times ``bracket_lo`` is
-    below the smallest normal double, where its log-slope would divide by
-    zero.
+    front, as is a user whose ``a`` or ``k`` times ``bracket_lo``
+    underflows to 0, where its log-slope would divide by zero.
     """
     utilities = tuple(utilities)
     if not utilities:
@@ -177,10 +175,10 @@ def run_allocation(utilities, total_rate: float, config: AllocationConfig = Allo
         )
     for i, u in enumerate(utilities):
         name, scale = slope_scale(u)
-        if scale * solver.bracket_lo < sys.float_info.min:
+        if scale * solver.bracket_lo == 0.0:
             raise ValueError(
-                f"user {i}: {name}={scale} times bracket_lo {solver.bracket_lo} is below the smallest "
-                f"normal double {sys.float_info.min}, so its log-slope cannot be evaluated at the pinned floor"
+                f"user {i}: {name}={scale} times bracket_lo {solver.bracket_lo} underflows to 0, "
+                "so its log-slope cannot be evaluated at the pinned floor"
             )
     decay = config.decay
     bids = (config.initial_bid,) * len(utilities)

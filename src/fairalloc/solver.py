@@ -11,35 +11,28 @@ whatever the curve's shape.
 
 Most bisection steps cost no evaluation. Each utility gives a cheap
 estimate of the root (``estimate_rate``), and the solver evaluates the
-log-slope at probes just either side of it, widening them a bounded
-number of times if both land on one side. The nearest probes certify a
-bracket: the slope is >= p at ``below`` and < p at ``above``. The
-rounded log-slope never increases from one double to the next (the
-tests check this for both families), so a midpoint <= ``below`` goes
-low and a midpoint >= ``above`` goes high exactly as an evaluation would
-have sent it. Bisection therefore walks the same midpoints as plain
-bisection and returns the same double; only the midpoints inside the
-certified bracket are evaluated. An estimate that is nan, infinite or
-far off only costs speed: the probes then certify little or nothing and
-bisection evaluates as it would without them. The probes come before
-the boundary checks below, so a probe that certifies ``below`` also
-settles the pinned check, and one that certifies ``above`` the test for
-a doubling, without evaluating the bracket's end.
+log-slope at one pair of probes, ``PROBE_STEP`` either side of it. The
+probes certify a bracket: the slope is >= p at ``below`` and < p at
+``above``. The rounded log-slope never increases from one double to the
+next (the tests check this for both families), so a midpoint <=
+``below`` goes low and a midpoint >= ``above`` goes high exactly as an
+evaluation would have sent it. Bisection therefore walks the same
+midpoints as plain bisection and returns the same double; only the
+midpoints inside the certified bracket are evaluated. An estimate that
+misses the root by more than ``PROBE_STEP`` (nan, infinite or far off)
+only costs speed: the probes then certify one end at most, and the solve
+walks plain bisection inside that half-certified bracket. The probes
+come before the boundary checks below, so a probe that certifies
+``below`` also settles the pinned check, and one that certifies
+``above`` the test for a doubling, without evaluating the bracket's end.
 
-Most levels of the walk are skipped outright, and each shortcut lands
-on the very bracket the full walk reaches, so the returned double is
-unchanged:
-
-* tiny brackets: while ``bracket_lo`` is under half an ulp of the upper
-  end, the midpoints are exactly hi/2, hi/4, ..., so the levels that
-  stay above ``above`` are jumped with ``ldexp``;
-* one-comparison levels: a bracket wider than 4*REL_TOL*above cannot
-  fire the stop rule, so such a level costs one comparison, ``mid <=
-  below``. Should a midpoint land inside (below, above), where only an
-  evaluation decides, the bracket ends below ``above`` and those levels
-  are walked again the full way.
-
-The remaining levels, a few per solve, take the full loop.
+Most levels of the walk cost one comparison, and land on the very
+bracket the full walk reaches, so the returned double is unchanged: a
+bracket wider than 4*REL_TOL*above cannot fire the stop rule, so such a
+level only asks ``mid <= below``. Should a midpoint land inside (below,
+above), where only an evaluation decides, the bracket ends below
+``above`` and those levels are walked again the full way. The remaining
+levels, a few per solve, take the full loop.
 
 Boundary handling:
 
@@ -79,7 +72,7 @@ __all__ = ["SolverConfig", "NoRootError", "solve_user_rate", "grid_oracle"]
 BRACKET_HI = 1e3  # first upper bracket, doubled while the root lies above it
 HI_CAP = 1e9  # largest rate the upper bracket may grow to
 REL_TOL = 1e-10  # bracket width, relative to its midpoint, at which bisection stops
-PROBE_STEPS = (1e-12, 1e-8, 1e-4)  # relative distances of the probes from the estimated root, in turn
+PROBE_STEP = 1e-12  # relative distance of each probe from the estimated root
 
 
 class NoRootError(RuntimeError):
@@ -115,13 +108,13 @@ def solve_user_rate(u: UtilityFunction, price: float, config: SolverConfig = _DE
     hi = BRACKET_HI
     try:
         guess = u.estimate_rate(price)
-        x, y = guess * (1.0 - PROBE_STEPS[0]), guess * (1.0 + PROBE_STEPS[0])
+        x, y = guess * (1.0 - PROBE_STEP), guess * (1.0 + PROBE_STEP)
         if not lo < x < y < hi:
-            below, above = _certified_bracket(u, price, guess, lo, hi, lo, hi, PROBE_STEPS)
+            below, above = lo, hi
         elif u.log_slope(x) < price:  # y lies above the certified x, so it is never evaluated
-            below, above = _certified_bracket(u, price, guess, lo, hi, lo, x, PROBE_STEPS[1:])
+            below, above = lo, x
         elif u.log_slope(y) >= price:
-            below, above = _certified_bracket(u, price, guess, lo, hi, y, hi, PROBE_STEPS[1:])
+            below, above = y, hi
         else:
             below, above = x, y
         if below == lo and u.log_slope(lo) < price:
@@ -132,13 +125,8 @@ def solve_user_rate(u: UtilityFunction, price: float, config: SolverConfig = _DE
                     f"log-slope still above price {price} at rate {HI_CAP}; "
                     "price too small to meet within the bracket cap"
                 )
-            hi = min(2.0 * hi, HI_CAP)
-            below, above = _certified_bracket(u, price, guess, below, hi, below, hi, PROBE_STEPS)
-        if lo + hi == hi:  # lo is under half an ulp of hi, so the midpoints are hi/2, hi/4, ... exactly
-            e = math.frexp(hi)[1]
-            k = min(e - math.frexp(lo)[1] - 54, e - math.frexp(above)[1] - 1)
-            if k > 0:
-                hi = math.ldexp(hi, -k)
+            below, above = hi, min(2.0 * hi, HI_CAP)  # log_slope(hi) > price certifies the old upper end
+            hi = above
         start = lo, hi
         # a bracket wider than `stop` cannot fire the stop rule (a normal
         # `stop` also keeps each midpoint strictly inside it); the bracket
@@ -166,30 +154,6 @@ def solve_user_rate(u: UtilityFunction, price: float, config: SolverConfig = _DE
             f"{name}={scale} times bracket_lo {config.bracket_lo} underflows, "
             "so the log-slope cannot be evaluated near the pinned floor"
         ) from None
-
-
-def _certified_bracket(
-    u: UtilityFunction, price: float, guess: float, lo: float, hi: float, below: float, above: float, steps
-) -> tuple[float, float]:
-    """Evaluated rates ``below`` and ``above`` closest around the estimated root ``guess``.
-
-    log_slope(below) >= price unless below is ``lo``, and
-    log_slope(above) < price unless above is ``hi``. Starting from the
-    given (below, above), probes go either side of the estimate at each
-    of ``steps`` in turn until the two nearest enclose the root. A probe
-    outside (below, above), nan included, is skipped, so each widening
-    costs at most one evaluation and a useless estimate costs none.
-    """
-    for step in steps:
-        for x in (guess * (1.0 - step), guess * (1.0 + step)):
-            if below < x < above:
-                if u.log_slope(x) >= price:
-                    below = x
-                else:
-                    above = x
-        if below > lo and above < hi:
-            break
-    return below, above
 
 
 def grid_oracle(u: UtilityFunction, price: float, r_grid) -> float:

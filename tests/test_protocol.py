@@ -281,6 +281,14 @@ class TestRunAllocation:
         with pytest.raises(ValueError, match=rf"user 1: {name}=1e-30 times bracket_lo 1e-300"):
             run_allocation(users, 30.0, config)
 
+    def test_accepts_a_subnormal_slope_scale_at_the_floor(self):
+        # k * bracket_lo = 1e-310 is subnormal, not 0, so the log-slope evaluates there
+        u = LogUtility(k=1e-10, r_max=1e10)
+        config = AllocationConfig(solver=SolverConfig(bracket_lo=1e-300))
+        result = run_allocation([u], 5.0, config)
+        assert result.status == CONVERGED
+        assert result.final_rates[0] == pytest.approx(5.0, rel=1e-8)
+
     @pytest.mark.parametrize(
         "kwargs",
         [

@@ -73,6 +73,8 @@ def log_cases(draw):
     return u, draw(log_uniform(1e-15, 1e8))
 
 
+LOG_USER = LogUtility(k=0.5, r_max=100.0)
+
 configs = st.one_of(st.just(SolverConfig()), log_uniform(1e-300, 10.0).map(lambda lo: SolverConfig(bracket_lo=lo)))
 
 
@@ -91,6 +93,14 @@ def count_slope_calls(monkeypatch):
 @pytest.fixture
 def slope_calls(monkeypatch):
     return count_slope_calls(monkeypatch)
+
+
+def slope_evaluations(solve, u, price, config):
+    """How many times one ``solve`` of the case evaluates the log-slope, NoRootError included."""
+    with pytest.MonkeyPatch.context() as mp:
+        calls = count_slope_calls(mp)
+        outcome(solve, u, price, config)
+    return len(calls)
 
 
 def crowd_scenario(n_users=200, seed=1):
@@ -283,6 +293,18 @@ class TestSkippedEvaluations:
     def test_log_matches_plain_bisection(self, case, config):
         u, price = case
         assert outcome(solve_user_rate, u, price, config) == outcome(plain_bisection, u, price, config)
+
+    @given(case=st.one_of(sigmoid_cases(), log_cases()), config=configs)
+    # flat stretch: the estimate misses by more than the probe step
+    @example(case=(SigmoidUtility(a=4.9107668881721365, b=27.249411863738718), 4.9107668881721365), config=SolverConfig())
+    @example(case=(LOG_USER, LOG_USER.log_slope(5e4)), config=SolverConfig())  # the bracket doubles
+    @example(case=(LOG_USER, LOG_USER.log_slope(1e-290)), config=SolverConfig(bracket_lo=1e-300))  # tiny root
+    @settings(max_examples=300, deadline=None)
+    def test_at_most_two_evaluations_more_than_plain_bisection(self, case, config):
+        # the probe pair is all a solve adds to plain bisection's evaluations
+        u, price = case
+        solve, plain = (slope_evaluations(f, u, price, config) for f in (solve_user_rate, plain_bisection))
+        assert solve <= plain + 2
 
     @pytest.mark.parametrize("estimate", [math.nan, math.inf, -1.0, 0.0, 1e-300, 3.0, 1e8])
     def test_a_useless_estimate_falls_back_to_bisection(self, monkeypatch, table_utilities, estimate):
