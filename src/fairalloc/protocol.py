@@ -39,7 +39,6 @@ import numbers
 from dataclasses import dataclass, field
 
 from .solver import SolverConfig, solve_user_rate
-from .utility import slope_scale
 
 __all__ = [
     "ExponentialDecay",
@@ -158,8 +157,7 @@ def run_allocation(utilities, total_rate: float, config: AllocationConfig = Allo
     A pure function of its arguments: identical inputs give identical
     trajectories. A cell rate below the users' pinned floor (each user
     holds at least ``bracket_lo``) has no equilibrium and is rejected up
-    front, as is a user whose ``a`` or ``k`` times ``bracket_lo``
-    underflows to 0, where its log-slope would divide by zero.
+    front; any positive ``a``, ``k`` and ``bracket_lo`` can be solved.
     """
     utilities = tuple(utilities)
     if not utilities:
@@ -173,13 +171,6 @@ def run_allocation(utilities, total_rate: float, config: AllocationConfig = Allo
             f"total rate R={total_rate} is below the pinned floor {floor} "
             f"({len(utilities)} users x bracket_lo {solver.bracket_lo})"
         )
-    for i, u in enumerate(utilities):
-        name, scale = slope_scale(u)
-        if scale * solver.bracket_lo == 0.0:
-            raise ValueError(
-                f"user {i}: {name}={scale} times bracket_lo {solver.bracket_lo} underflows to 0, "
-                "so its log-slope cannot be evaluated at the pinned floor"
-            )
     decay = config.decay
     bids = (config.initial_bid,) * len(utilities)
     records: list[IterationRecord] = []

@@ -64,7 +64,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .utility import UtilityFunction, slope_scale
+from .utility import UtilityFunction
 
 __all__ = ["SolverConfig", "NoRootError", "solve_user_rate", "grid_oracle"]
 
@@ -98,62 +98,54 @@ def solve_user_rate(u: UtilityFunction, price: float, config: SolverConfig = _DE
     and stops once the bracket width falls below REL_TOL of its midpoint
     or the midpoint no longer lies strictly inside the bracket. A midpoint
     outside the probed bracket (below, above) is decided without an
-    evaluation. Identical inputs give bit-identical results. A log-slope
-    that divides by zero (``a`` or ``k`` times a rate underflows) raises
-    ValueError.
+    evaluation. Identical inputs give bit-identical results, for any
+    positive ``a``, ``k`` and ``bracket_lo``.
     """
     if price <= 0.0 or not math.isfinite(price):
         raise ValueError(f"price must be positive and finite, got {price}")
     lo = config.bracket_lo
     hi = BRACKET_HI
-    try:
-        guess = u.estimate_rate(price)
-        x, y = guess * (1.0 - PROBE_STEP), guess * (1.0 + PROBE_STEP)
-        if not lo < x < y < hi:
-            below, above = lo, hi
-        elif u.log_slope(x) < price:  # y lies above the certified x, so it is never evaluated
-            below, above = lo, x
-        elif u.log_slope(y) >= price:
-            below, above = y, hi
+    guess = u.estimate_rate(price)
+    x, y = guess * (1.0 - PROBE_STEP), guess * (1.0 + PROBE_STEP)
+    if not lo < x < y < hi:
+        below, above = lo, hi
+    elif u.log_slope(x) < price:  # y lies above the certified x, so it is never evaluated
+        below, above = lo, x
+    elif u.log_slope(y) >= price:
+        below, above = y, hi
+    else:
+        below, above = x, y
+    if below == lo and u.log_slope(lo) < price:
+        return lo  # pinned: even the smallest tradable rate is too expensive
+    while above == hi and u.log_slope(hi) > price:
+        if hi == HI_CAP:
+            raise NoRootError(
+                f"log-slope still above price {price} at rate {HI_CAP}; "
+                "price too small to meet within the bracket cap"
+            )
+        below, above = hi, min(2.0 * hi, HI_CAP)  # log_slope(hi) > price certifies the old upper end
+        hi = above
+    start = lo, hi
+    # a bracket wider than `stop` cannot fire the stop rule (a normal
+    # `stop` also keeps each midpoint strictly inside it); the bracket
+    # halves per level, so it stays wider for frexp(width / stop) - 1 levels
+    stop = max(4.0 * REL_TOL * above, sys.float_info.min)
+    for _ in range(math.frexp((hi - lo) / stop)[1] - 1):
+        mid = 0.5 * (lo + hi)
+        if mid <= below:
+            lo = mid
         else:
-            below, above = x, y
-        if below == lo and u.log_slope(lo) < price:
-            return lo  # pinned: even the smallest tradable rate is too expensive
-        while above == hi and u.log_slope(hi) > price:
-            if hi == HI_CAP:
-                raise NoRootError(
-                    f"log-slope still above price {price} at rate {HI_CAP}; "
-                    "price too small to meet within the bracket cap"
-                )
-            below, above = hi, min(2.0 * hi, HI_CAP)  # log_slope(hi) > price certifies the old upper end
-            hi = above
-        start = lo, hi
-        # a bracket wider than `stop` cannot fire the stop rule (a normal
-        # `stop` also keeps each midpoint strictly inside it); the bracket
-        # halves per level, so it stays wider for frexp(width / stop) - 1 levels
-        stop = max(4.0 * REL_TOL * above, sys.float_info.min)
-        for _ in range(math.frexp((hi - lo) / stop)[1] - 1):
-            mid = 0.5 * (lo + hi)
-            if mid <= below:
-                lo = mid
-            else:
-                hi = mid
-        if hi < above:  # a midpoint fell inside (below, above), where only an evaluation decides
-            lo, hi = start
-        while True:
-            mid = 0.5 * (lo + hi)
-            if hi - lo <= REL_TOL * mid or not lo < mid < hi:
-                return mid
-            if mid <= below or (mid < above and u.log_slope(mid) >= price):
-                lo = mid
-            else:
-                hi = mid
-    except ZeroDivisionError:
-        name, scale = slope_scale(u)
-        raise ValueError(
-            f"{name}={scale} times bracket_lo {config.bracket_lo} underflows, "
-            "so the log-slope cannot be evaluated near the pinned floor"
-        ) from None
+            hi = mid
+    if hi < above:  # a midpoint fell inside (below, above), where only an evaluation decides
+        lo, hi = start
+    while True:
+        mid = 0.5 * (lo + hi)
+        if hi - lo <= REL_TOL * mid or not lo < mid < hi:
+            return mid
+        if mid <= below or (mid < above and u.log_slope(mid) >= price):
+            lo = mid
+        else:
+            hi = mid
 
 
 def grid_oracle(u: UtilityFunction, price: float, r_grid) -> float:

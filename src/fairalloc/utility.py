@@ -18,6 +18,11 @@ logarithmic
 The allocation algorithm only ever consumes the slope of log U, which
 for both families is strictly positive and strictly decreasing on
 (0, inf), so maximizing log U(r) - p*r is a concave scalar problem.
+Near r = 0, log U = log r + const + O(a*r) (O(k*r) for a log curve), so
+the slope approaches 1/r. ``log_slope`` is defined for every positive
+rate: once a*r or k*r is below the smallest normal double, where the
+general formula loses bits (and at 0 divides by zero), it returns 1/r,
+which is then the slope correctly rounded.
 
 All objects are immutable, and each method has one implementation,
 free of overflow for any parameters. ``value`` is numpy code: it takes a
@@ -43,6 +48,7 @@ __all__ = ["SigmoidUtility", "LogUtility", "UtilityFunction", "sigmoid_from_qoe"
 
 _EXP_MAX = 709.0  # exp overflows just past this in double precision
 _NEWTON_STEPS = 6  # enough for full precision from LogUtility.estimate_rate's starts
+_TINY = sys.float_info.min  # below this a*r or k*r loses bits: log_slope returns its 1/r limit
 
 
 @dataclass(frozen=True)
@@ -76,7 +82,7 @@ class SigmoidUtility:
     def value(self, rate):
         """Satisfaction at ``rate`` (a float or an array); exactly 0 at rate 0 and approaching 1 as rate grows."""
         r = np.asarray(rate, dtype=float)
-        if np.any(r < 0.0):
+        if not np.all(r >= 0.0):
             raise ValueError("rate must be >= 0")
         x = self.a * r - self._ab
         e = np.exp(-np.abs(x))
@@ -97,14 +103,17 @@ class SigmoidUtility:
     # (ab > 708.4) it keeps too few bits for that, so the switch moves to
     # ar = 38, where both forms round to 1 (e^(-38) < 2^-54).
     # Between roughly 2/a and b - 2/a the slope hugs the constant a
-    # (log U is nearly linear there); it diverges like 1/r as r -> 0 and
-    # decays like a*exp(-a(r-b)) past the inflection.
+    # (log U is nearly linear there); it diverges like 1/r as r -> 0 (and
+    # is 1/r to the last bit once ar is subnormal) and decays like
+    # a*exp(-a(r-b)) past the inflection.
 
     def log_slope(self, rate: float) -> float:
         """Slope of log U at ``rate`` > 0; strictly positive, strictly decreasing."""
-        if rate <= 0.0:
+        if not rate > 0.0:
             raise ValueError("rate must be > 0")
         ar = self.a * rate
+        if ar < _TINY:
+            return 1.0 / rate
         if ar <= self._switch:
             denom = self._t * math.expm1(ar) - math.expm1(-ar)
         else:
@@ -154,15 +163,17 @@ class LogUtility:
     def value(self, rate):
         """Satisfaction at ``rate`` (a float or an array); exactly 0 at rate 0 and exactly 1 at r_max."""
         r = np.asarray(rate, dtype=float)
-        if np.any(r < 0.0):
+        if not np.all(r >= 0.0):
             raise ValueError("rate must be >= 0")
         return np.log1p(self.k * r) / self._denom
 
     def log_slope(self, rate: float) -> float:
         """Slope of log U at ``rate`` > 0: k / ((1 + k r) * log(1 + k r))."""
-        if rate <= 0.0:
+        if not rate > 0.0:
             raise ValueError("rate must be > 0")
         kr = self.k * rate
+        if kr < _TINY:
+            return 1.0 / rate
         return self.k / ((1.0 + kr) * math.log1p(kr))
 
     # log_slope(r) = p in w = log1p(kr) reads w + log w = log(k/p), solved
@@ -183,15 +194,6 @@ class LogUtility:
 
 
 UtilityFunction = SigmoidUtility | LogUtility
-
-
-def slope_scale(u: UtilityFunction) -> tuple[str, float]:
-    """Name and value of the parameter that multiplies the rate in ``log_slope``: ``a`` or ``k``.
-
-    ``log_slope`` divides by a function of that product (a*rate for a
-    sigmoid, k*rate for a log curve) that is 0 when the product underflows.
-    """
-    return ("a", u.a) if isinstance(u, SigmoidUtility) else ("k", u.k)
 
 
 def sigmoid_from_qoe(r_low, s_low, r_high, s_high) -> SigmoidUtility:

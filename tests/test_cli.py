@@ -206,7 +206,7 @@ class TestRun:
         assert err.startswith(f"error: {cfg}: ")
         assert "Traceback" not in err
 
-    def test_underflowing_slope_scale_exits_non_zero_without_traceback(self, tmp_path, capsys):
+    def test_underflowing_slope_scale_runs_to_the_budget(self, tmp_path):
         doc = {
             "name": "tiny-k",
             "users": [{"id": "lone", "type": "log", "params": {"k": 1e-30, "r_max": 1e30}}],
@@ -215,10 +215,12 @@ class TestRun:
         }
         cfg = tmp_path / "tiny.json"
         cfg.write_text(json.dumps(doc))
-        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) != 0
-        err = capsys.readouterr().err
-        assert err.startswith("error: ")
-        assert "bracket_lo" in err and "Traceback" not in err
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        _, rows = read_csv(out / "summary.csv")
+        [(_, user_id, rate, _, price, _, status)] = rows
+        assert (user_id, status) == ("lone", "converged")
+        assert abs(float(rate) - 30.0) <= 0.001 / float(price)  # the lone user takes the whole budget
 
     def test_missing_config_exits_2(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path / "out")]) == 2

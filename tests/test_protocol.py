@@ -15,6 +15,7 @@ from fairalloc import (
     canonical_scenario,
     run_allocation,
 )
+from mp_roots import mp_equilibrium
 
 
 def first_round(utilities, total_rate, **config):
@@ -270,16 +271,21 @@ class TestRunAllocation:
             run_allocation(canonical_scenario().utilities, total_rate)
 
     @pytest.mark.parametrize(
-        "user, name",
-        [(LogUtility(k=1e-30, r_max=1e30), "k"), (SigmoidUtility(a=1e-30, b=10.0), "a")],
-        ids=["log", "sigmoid"],
+        "user", [LogUtility(k=1e-30, r_max=1e30), SigmoidUtility(a=1e-30, b=10.0)], ids=["log", "sigmoid"]
     )
-    def test_rejects_a_slope_scale_that_underflows_at_the_floor(self, user, name):
-        # k * bracket_lo (or a * bracket_lo) rounds to 0, where log_slope would divide by zero
+    def test_solves_a_slope_scale_that_underflows_at_the_floor(self, user):
+        # k * bracket_lo (or a * bracket_lo) rounds to 0, where log_slope returns its 1/r limit
         config = AllocationConfig(solver=SolverConfig(bracket_lo=1e-300))
         users = [LogUtility(k=3.0, r_max=100.0), user]
-        with pytest.raises(ValueError, match=rf"user 1: {name}=1e-30 times bracket_lo 1e-300"):
-            run_allocation(users, 30.0, config)
+        result = run_allocation(users, 30.0, config)
+        assert result.status == CONVERGED
+        # each best response falls with the price, so no user's rate is further
+        # from its equilibrium rate than the total is from the budget
+        bound = len(users) * config.delta / result.final_price
+        assert abs(sum(result.final_rates) - 30.0) <= bound
+        _, rates = mp_equilibrium(users, 30.0, config.solver.bracket_lo)
+        for rate, want in zip(result.final_rates, rates):
+            assert abs(rate - want) <= bound
 
     def test_accepts_a_subnormal_slope_scale_at_the_floor(self):
         # k * bracket_lo = 1e-310 is subnormal, not 0, so the log-slope evaluates there

@@ -20,6 +20,7 @@ from fairalloc import (
     solve_user_rate,
 )
 from fairalloc.solver import BRACKET_HI, HI_CAP, REL_TOL
+from mp_roots import mp_rate
 
 
 def plain_bisection(u, price, config):
@@ -241,12 +242,21 @@ class TestSolveUserRate:
         assert rate == plain_bisection(u, price, config)
 
     @pytest.mark.parametrize(
-        "u, name", [(LogUtility(k=1e-30, r_max=1e30), "k"), (SigmoidUtility(a=1e-30, b=1.0), "a")], ids=["log", "sigmoid"]
+        "u, price",
+        [
+            (LogUtility(k=1e-30, r_max=1e30), 1e300),
+            (SigmoidUtility(a=1e-30, b=1.0), 1e300),
+            (LogUtility(k=1e-30, r_max=1e30), 1e299),  # k * rate underflows to 0 at the root itself
+            (LogUtility(k=1e-300, r_max=1e300), 1e20),  # k * rate is subnormal at the root
+        ],
+        ids=["log", "sigmoid", "log-root-underflows", "log-root-subnormal"],
     )
-    def test_underflowing_slope_is_a_value_error(self, u, name):
-        # name * bracket_lo underflows to 0, and the log-slope divides by it
-        with pytest.raises(ValueError, match=rf"{name}=1e-30 times bracket_lo 1e-300"):
-            solve_user_rate(u, 1e300, SolverConfig(bracket_lo=1e-300))
+    def test_underflowing_slope_scale_solves_to_the_root(self, u, price):
+        # a (or k) times bracket_lo underflows to 0; there the log-slope is its 1/r limit
+        config = SolverConfig(bracket_lo=1e-300)
+        rate = solve_user_rate(u, price, config)
+        assert rate == pytest.approx(float(mp_rate(u, price, config.bracket_lo)), rel=1e-9)
+        assert rate == plain_bisection(u, price, config)
 
     @pytest.mark.parametrize("price", [0.0, -1.0, math.nan, math.inf])
     def test_rejects_bad_price(self, price):

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -6,6 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fairalloc import LogUtility, SigmoidUtility, sigmoid_from_qoe
+
+TINY = sys.float_info.min  # smallest normal double
 
 
 def _within_ulps(x, y, ulps=4):
@@ -73,6 +76,8 @@ class TestValue:
                 u.value(-1.0)
             with pytest.raises(ValueError):
                 u.value(np.array([1.0, -2.0]))
+            with pytest.raises(ValueError):
+                u.value(math.nan)
 
     def test_array_and_scalar_paths_agree(self, table_utilities):
         # numpy's vector transcendentals and libm may differ by an ulp or two
@@ -111,7 +116,7 @@ class TestLogSlope:
 
     def test_nonpositive_rate_rejected(self, table_utilities):
         for u in table_utilities.values():
-            for bad in (0.0, -1.0):
+            for bad in (0.0, -1.0, math.nan):
                 with pytest.raises(ValueError):
                     u.log_slope(bad)
 
@@ -263,17 +268,35 @@ class TestCurveProperties:
         r = ar / a
         assert u.log_slope(r) >= u.log_slope(math.nextafter(r, math.inf))
 
-    @given(a=st.floats(1e-3, 1e2), ab=st.floats(1.0, 800.0), switch=st.sampled_from((38.0, 700.0)))
+    @given(a=st.floats(1e-3, 1e2), ab=st.floats(1.0, 800.0), switch=st.sampled_from((TINY, 38.0, 700.0)))
     @example(a=0.01276264944122313, ab=733.4409656817401, switch=700.0)  # e^-ab subnormal: rose by an ulp at 700
     @settings(max_examples=300, deadline=None)
     def test_sigmoid_log_slope_never_rises_across_a_branch_switch(self, a, ab, switch):
+        # below a*r = TINY the slope is its 1/r limit, past 38 or 700 the far
+        # form; r is the last double with a*r <= switch, and a*r == TINY
+        # already takes the general form, so the step into r is checked too
         u = SigmoidUtility(a=a, b=ab / a)
         r = switch / a
         while a * r > switch:
             r = math.nextafter(r, 0.0)
         while a * math.nextafter(r, math.inf) <= switch:
             r = math.nextafter(r, math.inf)
-        assert u.log_slope(r) >= u.log_slope(math.nextafter(r, math.inf))
+        assert u.log_slope(math.nextafter(r, 0.0)) >= u.log_slope(r) >= u.log_slope(math.nextafter(r, math.inf))
+
+    @given(k=st.floats(-300.0, 0.0).map(lambda x: 10.0**x))
+    @settings(max_examples=300, deadline=None)
+    def test_log_log_slope_never_rises_across_the_1_over_r_switch(self, k):
+        # below k*r = TINY the slope is its 1/r limit; walk 10 doubles either side
+        u = LogUtility(k=k, r_max=1.0 / k)
+        r = TINY / k
+        for _ in range(10):
+            r = math.nextafter(r, 0.0)
+        rates = [r]
+        for _ in range(20):
+            rates.append(math.nextafter(rates[-1], math.inf))
+        assert k * rates[0] < TINY <= k * rates[-1]
+        slopes = [u.log_slope(x) for x in rates]
+        assert all(s1 >= s2 for s1, s2 in zip(slopes, slopes[1:]))
 
     @given(k=st.floats(1e-4, 1e4), r=st.floats(1e-300, 1e9))
     @settings(max_examples=300, deadline=None)
