@@ -21,9 +21,10 @@ Document layout (config keys all optional, falling back to defaults):
 The numbers in a utility's ``params``, a decay policy, ``solver`` and
 ``config`` are the numeric init fields of the dataclass each one builds,
 read and written from ``dataclasses.fields()``, so every field
-round-trips. A field without a default is required. Unknown keys are
-rejected, and every diagnostic names the offending field (or the
-line/column for malformed JSON).
+round-trips. A field without a default is required. A user ``id`` is
+written raw into CSV output, so it may hold no comma, double quote or
+line break. Unknown keys are rejected, and every diagnostic names the
+offending field (or the line/column for malformed JSON).
 """
 
 from __future__ import annotations
@@ -121,9 +122,10 @@ def _class_of(doc, path: str, types: dict):
 
 def _parse_user(doc, path: str):
     _check_keys(doc, path, required=("id", "type", "params"))
-    if not isinstance(doc["id"], str) or not doc["id"]:
-        _fail(f"{path}.id", f"expected a nonempty string, got {doc['id']!r}")
-    return doc["id"], _build(_class_of(doc, path, _UTILITY_TYPES), doc["params"], f"{path}.params")
+    uid = doc["id"]
+    if not isinstance(uid, str) or not uid or any(ch in uid for ch in ',"\r\n'):
+        _fail(f"{path}.id", f"expected a nonempty string without commas, quotes or line breaks, got {uid!r}")
+    return uid, _build(_class_of(doc, path, _UTILITY_TYPES), doc["params"], f"{path}.params")
 
 
 def _parse_decay(doc, path: str):

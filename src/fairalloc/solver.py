@@ -26,13 +26,12 @@ come before the boundary checks below, so a probe that certifies
 ``below`` also settles the pinned check, and one that certifies
 ``above`` the test for a doubling, without evaluating the bracket's end.
 
-Most levels of the walk cost one comparison, and land on the very
-bracket the full walk reaches, so the returned double is unchanged: a
-bracket wider than 4*REL_TOL*above cannot fire the stop rule, so such a
-level only asks ``mid <= below``. Should a midpoint land inside (below,
-above), where only an evaluation decides, the bracket ends below
-``above`` and those levels are walked again the full way. The remaining
-levels, a few per solve, take the full loop.
+Most levels of the walk also skip the stop test. The bracket's upper end
+always lies above ``below``, so while its lower end lies more than
+``stop = 4*REL_TOL*above`` (at least the smallest normal double) under
+``below``, the bracket is wider than ``stop`` and the stop rule cannot
+fire. The walk tests it only once the lower end has passed that gate,
+and so returns the same double.
 
 Boundary handling:
 
@@ -125,22 +124,14 @@ def solve_user_rate(u: UtilityFunction, price: float, config: SolverConfig = _DE
             )
         below, above = hi, min(2.0 * hi, HI_CAP)  # log_slope(hi) > price certifies the old upper end
         hi = above
-    start = lo, hi
-    # a bracket wider than `stop` cannot fire the stop rule (a normal
-    # `stop` also keeps each midpoint strictly inside it); the bracket
-    # halves per level, so it stays wider for frexp(width / stop) - 1 levels
+    # hi > below throughout, so while lo < gate the bracket is wider than
+    # `stop` and cannot fire the stop rule (a normal `stop` also keeps
+    # each midpoint strictly inside it)
     stop = max(4.0 * REL_TOL * above, sys.float_info.min)
-    for _ in range(math.frexp((hi - lo) / stop)[1] - 1):
-        mid = 0.5 * (lo + hi)
-        if mid <= below:
-            lo = mid
-        else:
-            hi = mid
-    if hi < above:  # a midpoint fell inside (below, above), where only an evaluation decides
-        lo, hi = start
+    gate = below - stop
     while True:
         mid = 0.5 * (lo + hi)
-        if hi - lo <= REL_TOL * mid or not lo < mid < hi:
+        if lo >= gate and (hi - lo <= REL_TOL * mid or not lo < mid < hi):
             return mid
         if mid <= below or (mid < above and u.log_slope(mid) >= price):
             lo = mid

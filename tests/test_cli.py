@@ -167,6 +167,15 @@ class TestRun:
         cfg.write_text(json.dumps(doc))
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
 
+    def test_csv_unsafe_user_id_exits_2(self, tmp_path, capsys):
+        doc = scenario_to_dict(canonical_scenario(r_values=(60.0,)))
+        doc["users"][2]["id"] = "Sig,1"
+        cfg = tmp_path / "comma.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert "users[2].id" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_non_finite_setting_exits_2(self, tmp_path, capsys):
         doc = scenario_to_dict(canonical_scenario(r_values=(60.0,)))
         doc["config"]["delta"] = float("nan")

@@ -80,6 +80,11 @@ class TestParse:
             (lambda d: d.update(config={"max_iter": 10.5}), "config.max_iter"),
             (lambda d: d.update(R_values=[30, int("1" * 400)]), "R_values[1]"),
             (lambda d: d["users"][0]["params"].update(b=10**309), "users[0].params.b"),
+            # ids are written raw into CSV rows
+            (lambda d: d["users"][0].update(id="Sig,1"), "users[0].id"),
+            (lambda d: d["users"][1].update(id='Log"3'), "users[1].id"),
+            (lambda d: d["users"][0].update(id="Sig\n1"), "users[0].id"),
+            (lambda d: d["users"][1].update(id="Log\r3"), "users[1].id"),
         ],
     )
     def test_diagnostics_name_the_field(self, mutate, needle):

@@ -309,6 +309,7 @@ class TestSkippedEvaluations:
     @example(case=(SigmoidUtility(a=4.9107668881721365, b=27.249411863738718), 4.9107668881721365), config=SolverConfig())
     @example(case=(LOG_USER, LOG_USER.log_slope(5e4)), config=SolverConfig())  # the bracket doubles
     @example(case=(LOG_USER, LOG_USER.log_slope(1e-290)), config=SolverConfig(bracket_lo=1e-300))  # tiny root
+    @example(case=(LOG_USER, LOG_USER.log_slope(1e-298)), config=SolverConfig(bracket_lo=1e-300))  # stop at its floor
     @settings(max_examples=300, deadline=None)
     def test_at_most_two_evaluations_more_than_plain_bisection(self, case, config):
         # the probe pair is all a solve adds to plain bisection's evaluations
@@ -343,8 +344,8 @@ class TestSkippedEvaluations:
     @pytest.mark.parametrize("depth", [3, 7, 13, 14, 15, 20, 30])
     def test_roots_on_a_bisection_midpoint(self, table_utilities, depth):
         # a root exactly on a midpoint puts that midpoint inside the probed
-        # bracket, where only an evaluation decides: the one-comparison
-        # levels must fall back to the full loop, however deep the midpoint
+        # bracket, where only an evaluation decides, however deep the
+        # midpoint: the levels that skip the stop test must still evaluate it
         config = SolverConfig()
         for u in table_utilities.values():
             for target in (0.05, 3.0, 12.0, 40.0):
