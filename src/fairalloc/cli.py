@@ -4,7 +4,7 @@
     fairalloc curves --config scenario.json --out results/
     fairalloc fit    200 0.05 740 0.99
 
-Outputs are plain CSV with shortest round-trip number formatting, so a
+Outputs are plain UTF-8 CSV with shortest round-trip number formatting, so a
 rerun with the same config is byte-identical and the files re-parse
 without loss. The subcommands only raise; ``main`` prints each error as
 ``error: ...`` and maps it to an exit code: 0 on success, 2 for a
@@ -43,11 +43,11 @@ def _fmt_rate_label(r: float) -> str:
 def _write_csv(path: Path, header: str, rows) -> None:
     lines = [header]
     lines.extend(",".join(row) for row in rows)
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def _write_trajectory(path: Path, user_ids, trajectory) -> None:
-    with path.open("w") as f:
+    with path.open("w", encoding="utf-8") as f:
         f.write("n,price,user_id,bid,rate\n")
         for rec in trajectory:
             head = f"{rec.n},{_fmt(rec.price)},"
@@ -159,12 +159,9 @@ def main(argv=None) -> int:
             cmd_curves(args.config, args.out)
         else:
             cmd_fit(args.r_low, args.s_low, args.r_high, args.s_high)
-    except SweepError as exc:
+    except (SweepError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, SweepError) else 2
     return 0
 
 

@@ -24,7 +24,8 @@ read and written from ``dataclasses.fields()``, so every field
 round-trips. A field without a default is required. A user ``id`` is
 written raw into CSV output, so it may hold no comma, double quote or
 line break. Unknown keys are rejected, and every diagnostic names the
-offending field (or the line/column for malformed JSON).
+offending field. ``load_scenario`` reads the file as UTF-8 (RFC 8259)
+and prefixes a decoding or JSON syntax error with the file's path.
 """
 
 from __future__ import annotations
@@ -158,15 +159,10 @@ def parse_scenario(doc) -> Scenario:
 
 
 def load_scenario(path) -> Scenario:
-    """Read and validate a scenario JSON file."""
-    text = Path(path).read_text()
+    """Read and validate a UTF-8 scenario JSON file."""
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ScenarioFormatError(
-            f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from exc
-    except ValueError as exc:  # an integer literal longer than the interpreter converts
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:
         raise ScenarioFormatError(f"{path}: {exc}") from exc
     return parse_scenario(doc)
 

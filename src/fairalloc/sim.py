@@ -25,11 +25,7 @@ __all__ = [
 
 
 class SweepError(RuntimeError):
-    """An allocation inside a sweep failed; carries the offending rate value."""
-
-    def __init__(self, total_rate: float, cause: Exception):
-        super().__init__(f"allocation failed at R={total_rate!r}: {cause}")
-        self.total_rate = total_rate
+    """An allocation inside a sweep failed; the message names the rate value."""
 
 
 @dataclass(frozen=True)
@@ -112,7 +108,7 @@ def run_sweep(scenario: Scenario, *, trajectories: bool = False) -> SweepResult:
         try:
             result = run_allocation(scenario.utilities, r, scenario.config)
         except (ValueError, RuntimeError) as exc:
-            raise SweepError(r, exc) from exc
+            raise SweepError(f"allocation failed at R={r!r}: {exc}") from exc
         if not trajectories:  # cut before the next point runs, so one full trajectory is alive at a time
             result = replace(result, trajectory=result.trajectory[-1:])
         results[r] = result

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -214,6 +218,28 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {cfg}: ")
         assert "Traceback" not in err
+
+    def test_non_utf8_file_exits_2_naming_the_file(self, tmp_path, capsys):
+        cfg = tmp_path / "utf16.json"
+        cfg.write_bytes(b"\xff\xfe{}")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert str(cfg) in capsys.readouterr().err
+
+    def test_files_are_utf8_whatever_the_locale(self, tmp_path):
+        # ASCII locale, with both of Python's UTF-8 fallbacks (locale coercion, UTF-8 mode) off
+        doc = scenario_to_dict(canonical_scenario(r_values=(30.0,)))
+        doc["users"][0]["id"] = "Usu\u00e1rio"
+        cfg = tmp_path / "accented.json"
+        cfg.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+        out = tmp_path / "out"
+        src = str(Path(cli.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C"}
+        proc = subprocess.run(
+            [sys.executable, "-X", "utf8=0", "-m", "fairalloc.cli", "run", "--config", str(cfg), "--out", str(out)],
+            env=env, capture_output=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert b"Usu\xc3\xa1rio" in (out / "summary.csv").read_bytes()
 
     def test_underflowing_slope_scale_runs_to_the_budget(self, tmp_path):
         doc = {
