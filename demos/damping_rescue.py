@@ -3,10 +3,11 @@
 A sigmoid's log U is nearly linear below its inflection (slope hugging
 the steepness a), so the best response to a price near a swings across
 the whole stretch on microscopic price moves. Whenever the equilibrium
-leaves one sigmoid user marginal, the synchronous loop locks into a
-stable two-cycle instead of settling. This script measures where that
-happens, confirms the regime boundary, and runs the exponential decay
-envelope dw(n) = 5 exp(-n/10) at R = 20. The envelope always ends the
+leaves one sigmoid user marginal, the synchronous loop cycles round
+the equilibrium price instead of settling (with periods from 2 to 6 on
+the default sweep, and no period at R = 20). This script measures where
+that happens, confirms the regime boundary, and runs the exponential
+decay envelope dw(n) = 5 exp(-n/10) at R = 20. The envelope always ends the
 run, since it caps every bid step, but it reaches the allocation only
 when the budget clears; at R = 20 it freezes the bids with the sum of
 the rates far from R.

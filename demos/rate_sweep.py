@@ -3,10 +3,11 @@
 Runs the undamped loop once per R in the default grid 5, 10, ..., 100.
 Where it converges, scarcer cells price higher and the allocation
 clears the budget. Where it hits the iteration cap, the equilibrium
-price sits on a sigmoid's flat log-utility stretch and the bids
-two-cycle; the reported "price" there is just the last snapshot of the
-oscillation. The damped variant in damping_rescue.py stops these runs
-too, but at most of them it freezes the bids short of the allocation.
+price sits on a sigmoid's flat log-utility stretch and the bids keep
+cycling round it, not always with period 2; the reported "price" there
+is just the last snapshot of the oscillation. The damped variant in
+damping_rescue.py stops these runs too, but at most of them it freezes
+the bids short of the allocation.
 """
 
 from fairalloc import canonical_scenario, run_sweep

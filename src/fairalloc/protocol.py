@@ -21,12 +21,17 @@ user equalizes its log-utility slope with the price.
 The undamped loop does not always settle. It is the map
 F(p) = p*D(p)/R on the price, with D(p) = sum_i r_i(p) the total demand,
 and its only fixed point is the equilibrium price p*. The slope there,
-g = 1 + p*D'(p*)/R, decides the outcome: the loop settles when |g| < 1
-and cycles round p* when |g| > 1. Below its inflection a sigmoid's log U
-is nearly linear (its slope hugs the constant a), so whenever p* lands
-on one of those flat stretches the marginal user's response swings
-across the stretch on microscopic price moves, D' is huge, and the bids
-lock into a stable two-cycle. The decay envelope caps per-round bid
+g = 1 + p*D'(p*)/R, is the loop gain, and |g| < 1 is the fixed point's
+local stability condition. For the reference population runs settle
+exactly where it holds; nothing establishes that for other populations
+or other starting bids. Below its inflection a sigmoid's log U is nearly
+linear (its slope hugs the constant a), so whenever p* lands on one of
+those flat stretches the marginal user's response swings across the
+stretch on microscopic price moves, D' is huge, and the bids keep
+cycling round p* until the iteration cap. The cycles need not be
+two-cycles: on the reference population's default sweep the capped
+runs' late prices repeat with periods from 2 to 6, and at R = 20 with
+none below 400 rounds. The decay envelope caps per-round bid
 steps in that regime, but it shrinks on a fixed schedule: unless the
 price reaches p* before the envelope drops below delta, the run stops
 with frozen bids that do not clear the budget.
@@ -39,6 +44,7 @@ import numbers
 from dataclasses import dataclass, field
 
 from .solver import SolverConfig, solve_user_rate
+from .utility import positive_finite
 
 __all__ = [
     "ExponentialDecay",
@@ -64,8 +70,8 @@ class ExponentialDecay:
     l2: float = 10.0
 
     def __post_init__(self):
-        if not all(x > 0.0 and math.isfinite(x) for x in (self.l1, self.l2)):
-            raise ValueError(f"decay constants must be positive and finite, got l1={self.l1}, l2={self.l2}")
+        positive_finite("decay constant l1", self.l1)
+        positive_finite("decay constant l2", self.l2)
 
     def step_limit(self, n: int) -> float:
         return self.l1 * math.exp(-n / self.l2)
@@ -78,8 +84,7 @@ class RationalDecay:
     l3: float = 5.0
 
     def __post_init__(self):
-        if not (self.l3 > 0.0 and math.isfinite(self.l3)):
-            raise ValueError(f"decay constant must be positive and finite, got l3={self.l3}")
+        positive_finite("decay constant l3", self.l3)
 
     def step_limit(self, n: int) -> float:
         return self.l3 / n
@@ -97,12 +102,10 @@ class AllocationConfig:
     solver: SolverConfig = field(default_factory=SolverConfig)
 
     def __post_init__(self):
-        if not (self.delta > 0.0 and math.isfinite(self.delta)):
-            raise ValueError(f"delta must be positive and finite, got {self.delta}")
+        positive_finite("delta", self.delta)
         if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, numbers.Integral) or self.max_iter < 1:
             raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
-        if not (self.initial_bid > 0.0 and math.isfinite(self.initial_bid)):
-            raise ValueError(f"initial_bid must be positive and finite, got {self.initial_bid}")
+        positive_finite("initial_bid", self.initial_bid)
 
 
 @dataclass(frozen=True)
@@ -162,8 +165,7 @@ def run_allocation(utilities, total_rate: float, config: AllocationConfig = Allo
     utilities = tuple(utilities)
     if not utilities:
         raise ValueError("need at least one utility")
-    if not (total_rate > 0.0 and math.isfinite(total_rate)):
-        raise ValueError(f"total rate must be positive and finite, got {total_rate}")
+    positive_finite("total rate", total_rate)
     solver = config.solver
     floor = len(utilities) * solver.bracket_lo
     if total_rate < floor:

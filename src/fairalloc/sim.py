@@ -8,11 +8,10 @@ sweep can be reproduced in isolation.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
 from .protocol import AllocationConfig, AllocationResult, run_allocation
-from .utility import LogUtility, SigmoidUtility, UtilityFunction
+from .utility import LogUtility, SigmoidUtility, UtilityFunction, positive_finite
 
 __all__ = [
     "Scenario",
@@ -49,8 +48,7 @@ class Scenario:
         if not self.r_values:
             raise ValueError("r_values must be nonempty")
         for r in self.r_values:
-            if not (r > 0.0 and math.isfinite(r)):
-                raise ValueError(f"r_values must be positive and finite, got {r}")
+            positive_finite("r_values", r)
         if any(b <= a for a, b in zip(self.r_values, self.r_values[1:])):
             raise ValueError(f"r_values must be strictly ascending, got {self.r_values}")
 

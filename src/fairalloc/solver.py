@@ -63,7 +63,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .utility import UtilityFunction
+from .utility import UtilityFunction, positive_finite
 
 __all__ = ["SolverConfig", "NoRootError", "solve_user_rate", "grid_oracle"]
 
@@ -100,6 +100,7 @@ def solve_user_rate(u: UtilityFunction, price: float, config: SolverConfig = _DE
     evaluation. Identical inputs give bit-identical results, for any
     positive ``a``, ``k`` and ``bracket_lo``.
     """
+    # inline rather than positive_finite: this runs once per solve, on the hot path
     if price <= 0.0 or not math.isfinite(price):
         raise ValueError(f"price must be positive and finite, got {price}")
     lo = config.bracket_lo
@@ -145,8 +146,7 @@ def grid_oracle(u: UtilityFunction, price: float, r_grid) -> float:
     The grid must be nonempty, strictly ascending and entirely positive.
     Rates where U underflows to zero score -inf and can never win.
     """
-    if price <= 0.0 or not math.isfinite(price):
-        raise ValueError(f"price must be positive and finite, got {price}")
+    positive_finite("price", price)
     grid = np.asarray(r_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("r_grid must be a nonempty 1-d array")

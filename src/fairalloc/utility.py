@@ -51,6 +51,12 @@ _NEWTON_STEPS = 6  # enough for full precision from LogUtility.estimate_rate's s
 _TINY = sys.float_info.min  # below this a*r or k*r loses bits: log_slope returns its 1/r limit
 
 
+def positive_finite(name: str, value) -> None:
+    """Reject a setting that is not a positive, finite number, naming it."""
+    if not (value > 0.0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
 @dataclass(frozen=True)
 class SigmoidUtility:
     """Normalized sigmoid satisfaction curve with steepness ``a`` and inflection rate ``b``."""
@@ -61,10 +67,8 @@ class SigmoidUtility:
     d: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not (self.a > 0.0 and math.isfinite(self.a)):
-            raise ValueError(f"sigmoid steepness a must be positive and finite, got {self.a}")
-        if not (self.b > 0.0 and math.isfinite(self.b)):
-            raise ValueError(f"sigmoid inflection rate b must be positive and finite, got {self.b}")
+        positive_finite("sigmoid steepness a", self.a)
+        positive_finite("sigmoid inflection rate b", self.b)
         ab = self.a * self.b
         t = math.exp(-ab)  # exp(ab) overflows near ab ~ 709; 1/exp(ab) never does
         object.__setattr__(self, "_ab", ab)
@@ -151,10 +155,8 @@ class LogUtility:
     r_max: float
 
     def __post_init__(self):
-        if not (self.k > 0.0 and math.isfinite(self.k)):
-            raise ValueError(f"log growth rate k must be positive and finite, got {self.k}")
-        if not (self.r_max > 0.0 and math.isfinite(self.r_max)):
-            raise ValueError(f"r_max must be positive and finite, got {self.r_max}")
+        positive_finite("log growth rate k", self.k)
+        positive_finite("r_max", self.r_max)
         if not 0.0 < self.k * self.r_max < math.inf:
             raise ValueError(f"k * r_max must be positive and finite, got k={self.k}, r_max={self.r_max}")
         # numpy's log1p, the one ``value`` uses, so that U(r_max) is exactly 1
@@ -210,10 +212,12 @@ def sigmoid_from_qoe(r_low, s_low, r_high, s_high) -> SigmoidUtility:
     satisfaction) and gains nothing above 740 kbps (99%) fits a = 0.174,
     b = 470.
     """
+    positive_finite("r_low", r_low)
+    positive_finite("r_high", r_high)
     if not 0.0 < r_low < r_high:
         raise ValueError(f"need 0 < r_low < r_high, got r_low={r_low}, r_high={r_high}")
     if not 0.0 < s_low < s_high < 1.0:
         raise ValueError(f"need 0 < s_low < s_high < 1, got s_low={s_low}, s_high={s_high}")
-    b = (r_low + r_high) / 2.0
+    b = 0.5 * r_low + 0.5 * r_high  # (r_low + r_high) / 2 could overflow
     a = 100.0 * (s_high - s_low) / (r_high - r_low)
     return SigmoidUtility(a, b)

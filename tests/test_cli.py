@@ -318,6 +318,15 @@ class TestFit:
         fields = dict(part.split("=") for part in out.split(" "))
         assert float(fields["b"]) == 100.0
 
+    def test_infinite_rate_names_the_argument(self, capsys):
+        assert main(["fit", "200", "0.05", "inf", "0.99"]) == 2
+        assert "r_high must be positive and finite" in capsys.readouterr().err
+
+    def test_huge_anchors_fit_without_overflow(self, capsys):
+        # (r_low + r_high) / 2 would overflow to inf; the halves add to a finite midpoint
+        assert main(["fit", "1e308", "0.05", "1.7e308", "0.99"]) == 0
+        assert "b=1.35e+308" in capsys.readouterr().out
+
 
 class TestUsage:
     def test_unusable_out_exits_2_before_any_run(self, tmp_path, capsys, monkeypatch):

@@ -126,7 +126,7 @@ class TestApplyDecay:
         ],
     )
     def test_rejects_bad_constants(self, make):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"decay constant l[123] must be positive and finite"):
             make()
 
 
@@ -182,7 +182,7 @@ class TestRunAllocation:
     def test_marginal_sigmoid_regime_cycles_instead_of_converging(self):
         # R=50 prices the cell near the a=1 sigmoid's flat log-utility
         # stretch; the marginal user's response swings across it and the
-        # undamped bids two-cycle forever.
+        # undamped bids cycle forever (late prices repeat every 3 rounds).
         sc = canonical_scenario()
         res = run_allocation(sc.utilities, 50.0)
         assert res.status == ITERATION_CAP

@@ -137,7 +137,7 @@ def _plain_and_damped(sc, total_rate):
 class TestFluctuationProbe:
     def test_cycling_regime_is_rescued_by_damping(self):
         # R=20 prices the cell onto the a=3 sigmoid's flat stretch: the
-        # undamped loop two-cycles. The damped run reports converged, but
+        # undamped loop cycles to the cap. The damped run reports converged, but
         # only because the envelope froze the bids (after 86 rounds, with
         # |sum(r) - R| ~ 4.7), not because it reached the allocation.
         plain, damped = _plain_and_damped(canonical_scenario(), 20.0)

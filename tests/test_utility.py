@@ -195,6 +195,8 @@ class TestQoeFit:
             (200.0, 0.0, 740.0, 0.99),   # zero satisfaction anchor
             (200.0, 0.05, 740.0, 1.0),   # full satisfaction anchor
             (0.0, 0.05, 740.0, 0.99),    # zero rate anchor
+            (200.0, 0.05, math.inf, 0.99),  # infinite rate anchor
+            (math.nan, 0.05, 740.0, 0.99),  # nan rate anchor
         ],
     )
     def test_rejects_misordered_anchors(self, args):
