@@ -47,13 +47,30 @@ def _write_csv(path: Path, header: str, rows) -> None:
 
 
 def _write_trajectory(path: Path, user_ids, trajectory) -> None:
+    # repr sets this writer's cost, and a cycling run repeats most of its
+    # rates: bisection returns one of a fixed set of bracket midpoints, and
+    # the cycle revisits the same brackets within a few rounds. So each
+    # rate's text is kept for about 16 rounds, which a periodic cycle never
+    # fills, and dropped after that, so memory stays per round however long
+    # the run. The bytes are _fmt's: every value here is already a Python
+    # float, so !r is repr(float(x)); and rates are > 0 and never NaN, and
+    # positive doubles that compare equal have the same bits, so one cached
+    # text serves every equal key.
+    limit = 16 * len(user_ids)
+    reprs = {}
     with path.open("w", encoding="utf-8") as f:
         f.write("n,price,user_id,bid,rate\n")
         for rec in trajectory:
-            head = f"{rec.n},{_fmt(rec.price)},"
-            f.write("".join(
-                f"{head}{uid},{_fmt(bid)},{_fmt(rate)}\n" for uid, bid, rate in zip(user_ids, rec.bids, rec.rates)
-            ))
+            if len(reprs) > limit:
+                reprs.clear()
+            head = f"{rec.n},{rec.price!r},"
+            rows = []
+            for uid, bid, rate in zip(user_ids, rec.bids, rec.rates):
+                text = reprs.get(rate)
+                if text is None:
+                    text = reprs[rate] = repr(rate)
+                rows.append(f"{head}{uid},{bid!r},{text}\n")
+            f.write("".join(rows))
 
 
 def _run_point(scenario, r: float, out: Path) -> list[tuple[str, ...]]:

@@ -220,4 +220,7 @@ def sigmoid_from_qoe(r_low, s_low, r_high, s_high) -> SigmoidUtility:
         raise ValueError(f"need 0 < s_low < s_high < 1, got s_low={s_low}, s_high={s_high}")
     b = 0.5 * r_low + 0.5 * r_high  # (r_low + r_high) / 2 could overflow
     a = 100.0 * (s_high - s_low) / (r_high - r_low)
+    if not math.isfinite(a):
+        raise ValueError(f"r_low and r_high are too close together for a finite steepness, "
+                         f"got r_low={r_low}, r_high={r_high}")
     return SigmoidUtility(a, b)

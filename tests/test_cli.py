@@ -70,14 +70,13 @@ class TestRun:
         assert result.status == status
 
         _, rows = read_csv(out / f"traj_R{int(r)}.csv")
+        # the text itself, not just its value: each number is its shortest round-trip repr
         expected = [
-            (rec.n, rec.price, uid, bid, rate)
+            [str(rec.n), repr(rec.price), uid, repr(bid), repr(rate)]
             for rec in result.trajectory
             for uid, bid, rate in zip(scenario.user_ids, rec.bids, rec.rates)
         ]
-        assert len(rows) == len(expected)
-        for (n, price, uid, bid, rate), want in zip(rows, expected):
-            assert (int(n), float(price), uid, float(bid), float(rate)) == want
+        assert rows == expected
 
         _, rows = read_csv(out / "summary.csv")
         assert [row[1] for row in rows] == list(scenario.user_ids)
@@ -120,7 +119,7 @@ class TestRun:
         # Every point below cycles to the cap, so each holds max_iter rounds.
         # Holding all four trajectories at once peaked at 1.42x the one-point
         # run (the one-point peak also holds that point's formatted rows);
-        # holding one at a time peaks at 1.07x.
+        # holding one at a time peaks at 1.09x.
         cfg = write_config(tmp_path, r_values=(5.0,), config=AllocationConfig(max_iter=200))
 
         def run(rates, out):
@@ -326,6 +325,13 @@ class TestFit:
         # (r_low + r_high) / 2 would overflow to inf; the halves add to a finite midpoint
         assert main(["fit", "1e308", "0.05", "1.7e308", "0.99"]) == 0
         assert "b=1.35e+308" in capsys.readouterr().out
+
+    def test_anchors_too_close_for_a_finite_steepness_are_named(self, capsys):
+        # 100 * 0.94 / 1e-307 overflows; the error names the anchors, not the derived a = inf
+        assert main(["fit", "1e-307", "0.05", "2e-307", "0.99"]) == 2
+        err = capsys.readouterr().err
+        assert "r_low and r_high are too close together" in err
+        assert "steepness a must be" not in err
 
 
 class TestUsage:
