@@ -8,12 +8,13 @@ Outputs are plain UTF-8 CSV with shortest round-trip number formatting, so a
 rerun with the same config is byte-identical and the files re-parse
 without loss. The subcommands only raise; ``main`` prints each error as
 ``error: ...`` and maps it to an exit code: 0 on success, 2 for a
-config, usage or file problem (a ``ValueError`` or ``OSError``; the
-output directory is made before any run, so an unusable ``--out`` fails
-at once), 3 when an allocation run fails (the message names the rate
-value). ``run`` writes each rate point's trajectory as soon as that point
-finishes, so a failure leaves the earlier points' ``traj_R*.csv`` files
-and no ``summary.csv``.
+config, usage or file problem (a ``ValueError`` or ``OSError``; ``run``
+and ``curves`` share one setup that loads the scenario, applies ``--R``
+and makes the output directory before any run, so an unusable config or
+``--out`` fails at once), 3 when an allocation run fails (the message
+names the rate value). ``run`` writes each rate point's trajectory as
+soon as that point finishes, so a failure leaves the earlier points'
+``traj_R*.csv`` files and no ``summary.csv``.
 """
 
 from __future__ import annotations
@@ -32,111 +33,60 @@ __all__ = ["main"]
 _CURVE_POINTS = 101  # r = 0, 1, ..., 100
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def _write_csv(path: Path, header: str, lines) -> None:
+    """Write ``header`` and then each newline-terminated text of ``lines`` as it arrives."""
+    with path.open("w", encoding="utf-8") as f:
+        f.write(header + "\n")
+        f.writelines(lines)
 
 
-def _fmt_rate_label(r: float) -> str:
-    return str(int(r)) if float(r).is_integer() else repr(float(r))
-
-
-def _write_csv(path: Path, header: str, rows) -> None:
-    lines = [header]
-    lines.extend(",".join(row) for row in rows)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def _write_trajectory(path: Path, user_ids, trajectory) -> None:
+def _trajectory_lines(user_ids, trajectory):
     # repr sets this writer's cost, and a cycling run repeats most of its
     # rates: bisection returns one of a fixed set of bracket midpoints, and
     # the cycle revisits the same brackets within a few rounds. So each
     # rate's text is kept for about 16 rounds, which a periodic cycle never
     # fills, and dropped after that, so memory stays per round however long
-    # the run. The bytes are _fmt's: every value here is already a Python
-    # float, so !r is repr(float(x)); and rates are > 0 and never NaN, and
-    # positive doubles that compare equal have the same bits, so one cached
-    # text serves every equal key.
+    # the run. Rates are > 0 and never NaN, and positive doubles that
+    # compare equal have the same bits, so one cached text serves every
+    # equal key. Each round is yielded as one block of text.
     limit = 16 * len(user_ids)
     reprs = {}
-    with path.open("w", encoding="utf-8") as f:
-        f.write("n,price,user_id,bid,rate\n")
-        for rec in trajectory:
-            if len(reprs) > limit:
-                reprs.clear()
-            head = f"{rec.n},{rec.price!r},"
-            rows = []
-            for uid, bid, rate in zip(user_ids, rec.bids, rec.rates):
-                text = reprs.get(rate)
-                if text is None:
-                    text = reprs[rate] = repr(rate)
-                rows.append(f"{head}{uid},{bid!r},{text}\n")
-            f.write("".join(rows))
+    for rec in trajectory:
+        if len(reprs) > limit:
+            reprs.clear()
+        head = f"{rec.n},{rec.price!r},"
+        rows = []
+        for uid, bid, rate in zip(user_ids, rec.bids, rec.rates):
+            text = reprs.get(rate)
+            if text is None:
+                text = reprs[rate] = repr(rate)
+            rows.append(f"{head}{uid},{bid!r},{text}\n")
+        yield "".join(rows)
 
 
-def _run_point(scenario, r: float, out: Path) -> list[tuple[str, ...]]:
-    """Run one rate point, write its trajectory and return its summary rows.
+def _run_point(scenario, r: float, out: Path) -> list[str]:
+    """Run one rate point, write its ``traj_R*.csv`` and return its summary lines.
 
-    Only the rows outlive the call, so the trajectory is freed before the
-    caller runs the next point.
+    Only the lines outlive the call, so the trajectory is freed before the
+    caller runs the next point: memory follows the longest point, not the
+    whole sweep.
     """
     result = run_sweep(replace(scenario, r_values=(r,)), trajectories=True).results[r]
-    _write_trajectory(out / f"traj_R{_fmt_rate_label(r)}.csv", scenario.user_ids, result.trajectory)
-    return [
-        (
-            _fmt(r),
-            uid,
-            _fmt(rate),
-            _fmt(u.value(rate)),
-            _fmt(result.final_price),
-            str(result.iterations_used),
-            result.status,
-        )
-        for (uid, u), rate in zip(scenario.users, result.final_rates)
-    ]
+    label = str(int(r)) if r.is_integer() else repr(r)
+    _write_csv(out / f"traj_R{label}.csv", "n,price,user_id,bid,rate",
+               _trajectory_lines(scenario.user_ids, result.trajectory))
+    tail = f"{result.final_price!r},{result.iterations_used},{result.status}\n"
+    return [f"{r!r},{uid},{rate!r},{float(u.value(rate))!r},{tail}"
+            for (uid, u), rate in zip(scenario.users, result.final_rates)]
 
 
-def cmd_run(config_path, out_dir, r_override=None) -> None:
-    """Sweep the scenario and write per-rate trajectories plus a summary table.
-
-    The rate points run one at a time in ascending order. Each point's
-    ``traj_R*.csv`` is written as soon as it finishes and its trajectory
-    is dropped before the next point runs, so memory follows the longest
-    point, not the whole sweep. ``summary.csv`` is written after the last
-    point; a point that fails leaves the files of the points before it.
-    """
-    scenario = load_scenario(config_path)
-    if r_override is not None:
-        scenario = replace(scenario, r_values=tuple(r_override))
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    summary_rows = []
-    for r in scenario.r_values:
-        summary_rows.extend(_run_point(scenario, r, out))
-    _write_csv(
-        out / "summary.csv",
-        "R,user_id,final_rate,final_utility,final_price,iterations,status",
-        summary_rows,
-    )
-
-
-def cmd_curves(config_path, out_dir) -> None:
-    """Sample every user's utility and log-slope on the integer grid 0..100."""
-    scenario = load_scenario(config_path)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    rows = []
+def _curve_lines(scenario):
+    """Every user's utility and log-slope on the integer grid 0..100."""
     for j in range(_CURVE_POINTS):
         r = float(j)
         for uid, u in scenario.users:
-            slope = "" if j == 0 else _fmt(u.log_slope(r))  # diverges at r = 0
-            rows.append((_fmt(r), uid, _fmt(u.value(r)), slope))
-    _write_csv(out / "curves.csv", "r,user_id,utility,dlogU", rows)
-
-
-def cmd_fit(r_low, s_low, r_high, s_high) -> None:
-    """Fit a sigmoid to two QoE anchor points and print its constants."""
-    u = sigmoid_from_qoe(r_low, s_low, r_high, s_high)
-    print(f"a={_fmt(u.a)} b={_fmt(u.b)} c={_fmt(u.c)} d={_fmt(u.d)}")
+            slope = "" if j == 0 else repr(u.log_slope(r))  # diverges at r = 0
+            yield f"{r!r},{uid},{float(u.value(r))!r},{slope}\n"
 
 
 def _parse_rate_list(text: str) -> list[float]:
@@ -170,12 +120,22 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
+        if args.command == "fit":
+            u = sigmoid_from_qoe(args.r_low, args.s_low, args.r_high, args.s_high)
+            print(f"a={u.a!r} b={u.b!r} c={u.c!r} d={u.d!r}")
+            return 0
+        scenario = load_scenario(args.config)
+        if getattr(args, "R", None) is not None:
+            scenario = replace(scenario, r_values=tuple(args.R))
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
         if args.command == "run":
-            cmd_run(args.config, args.out, args.R)
-        elif args.command == "curves":
-            cmd_curves(args.config, args.out)
+            # points run one at a time in ascending order; summary.csv waits for the last
+            summary = [line for r in scenario.r_values for line in _run_point(scenario, r, out)]
+            _write_csv(out / "summary.csv", "R,user_id,final_rate,final_utility,final_price,iterations,status",
+                       summary)
         else:
-            cmd_fit(args.r_low, args.s_low, args.r_high, args.s_high)
+            _write_csv(out / "curves.csv", "r,user_id,utility,dlogU", _curve_lines(scenario))
     except (SweepError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, SweepError) else 2

@@ -223,4 +223,7 @@ def sigmoid_from_qoe(r_low, s_low, r_high, s_high) -> SigmoidUtility:
     if not math.isfinite(a):
         raise ValueError(f"r_low and r_high are too close together for a finite steepness, "
                          f"got r_low={r_low}, r_high={r_high}")
+    if a == 0.0:
+        raise ValueError(f"s_high - s_low is too small for the rate span to give a nonzero steepness, "
+                         f"got s_low={s_low}, s_high={s_high}, r_high - r_low={r_high - r_low}")
     return SigmoidUtility(a, b)

@@ -297,6 +297,23 @@ class TestCurves:
         beyond = [row for row in rows if row[0] != "0.0"]
         assert all(float(row[3]) > 0.0 for row in beyond)
 
+    def test_missing_config_exits_2_naming_the_file(self, tmp_path, capsys):
+        missing = tmp_path / "nope.json"
+        out = tmp_path / "out"
+        assert main(["curves", "--config", str(missing), "--out", str(out)]) == 2
+        assert str(missing) in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_malformed_scenario_exits_2_naming_the_field(self, tmp_path, capsys):
+        doc = scenario_to_dict(canonical_scenario())
+        doc["users"][3]["params"]["k"] = -1.0
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["curves", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "users[3]" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestFit:
     def test_reproduces_the_video_fit(self, capsys):
@@ -331,6 +348,14 @@ class TestFit:
         assert main(["fit", "1e-307", "0.05", "2e-307", "0.99"]) == 2
         err = capsys.readouterr().err
         assert "r_low and r_high are too close together" in err
+        assert "steepness a must be" not in err
+
+    def test_satisfaction_gap_too_small_for_the_span_is_named(self, capsys):
+        # 100 * 5e-324 / 1.7e308 underflows; the error names the anchors, not the derived a = 0.0
+        assert main(["fit", "1", "5e-324", "1.7e308", "1e-323"]) == 2
+        err = capsys.readouterr().err
+        assert "s_high - s_low is too small for the rate span" in err
+        assert "s_low=5e-324, s_high=1e-323" in err
         assert "steepness a must be" not in err
 
 

@@ -1,10 +1,11 @@
-"""Compare this checkout with a git ref by alternating benchmark runs.
+"""Compare this checkout with a base checkout by alternating benchmark runs.
 
-Usage: python3 tools/bench_pairs.py --base <git-ref> --workload W --pairs 10 --seconds S
+Usage: python3 tools/bench_pairs.py --base <git-ref or dir> --workload W --pairs 10 --seconds S
 
-The base ref is exported with ``git archive`` into a temporary directory,
-which is removed at the end. Pair i runs ``bench/run.py --trace 0 --seed i``
-once in each tree, the base first in odd pairs and this checkout first in
+A base that names a directory is used in place; any other base is a git
+ref, exported with ``git archive`` into a temporary directory, which is
+removed at the end. Pair i runs ``bench/run.py --trace 0 --seed i`` once
+in each tree, the base first in odd pairs and this checkout first in
 even ones. For every end-to-end metric in BENCHMARK.json it prints each
 side's median and quartiles, the pairs the change won by the metric's
 ``better`` direction (ties count for neither side), whether the change's
@@ -35,6 +36,14 @@ def export(ref: str, dest: Path) -> None:
                          capture_output=True, check=True).stdout
     with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
         archive.extractall(dest, filter="data")
+
+
+def checkout(base: str, tmp: Path) -> Path:
+    """The tree of ``base``: the directory itself if it is one, else the git ref exported into ``tmp``."""
+    if Path(base).is_dir():
+        return Path(base).resolve()
+    export(base, tmp)
+    return tmp
 
 
 def bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -70,8 +79,8 @@ def report(metric: dict, base: list[float], change: list[float]) -> str:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description="alternating benchmark pairs: this checkout against a git ref")
-    parser.add_argument("--base", required=True, help="git ref of the parent to compare against")
+    parser = argparse.ArgumentParser(description="alternating benchmark pairs: this checkout against a base")
+    parser.add_argument("--base", required=True, help="git ref or checkout directory of the parent to compare against")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, required=True)
@@ -81,9 +90,8 @@ def main(argv=None) -> int:
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     runs = {"base": [], "change": []}
     with tempfile.TemporaryDirectory() as tmp:
-        trees = {"base": Path(tmp), "change": ROOT}
         try:
-            export(args.base, trees["base"])
+            trees = {"base": checkout(args.base, Path(tmp)), "change": ROOT}
         except subprocess.CalledProcessError as exc:
             print(f"error: git archive {args.base} failed: {exc.stderr.decode().strip()}", file=sys.stderr)
             return 1
