@@ -4,8 +4,8 @@ Three sigmoids model real-time traffic (satisfaction jumps near the
 inflection rate), three logarithmic curves model elastic traffic
 (satisfaction keeps creeping up to r_max). The allocation algorithm
 never looks at U directly, only at the slope of log U, so both are
-tabulated here side by side. Saves a plot next to this script when
-matplotlib is importable.
+tabulated here side by side. Saves a plot, utility_curves.png, into the
+working directory when matplotlib is importable.
 """
 
 import numpy as np
@@ -43,8 +43,6 @@ except ImportError:
     plt = None
 
 if plt is not None:
-    from pathlib import Path
-
     fig, (top, bottom) = plt.subplots(2, 1, figsize=(8, 8), sharex=True)
     for uid, u in users:
         top.plot(rates, u.value(rates), label=uid)
@@ -54,6 +52,5 @@ if plt is not None:
     bottom.set_ylabel("d/dr log U(r)")
     bottom.set_xlabel("rate r")
     fig.tight_layout()
-    target = Path(__file__).resolve().parent / "utility_curves.png"
-    fig.savefig(target, dpi=120)
-    print(f"\nwrote {target}")
+    fig.savefig("utility_curves.png", dpi=120)
+    print("\nwrote utility_curves.png")

@@ -12,15 +12,18 @@ config, usage or file problem (a ``ValueError`` or ``OSError``; ``run``
 and ``curves`` share one setup that loads the scenario, applies ``--R``
 and makes the output directory before any run, so an unusable config or
 ``--out`` fails at once), 3 when an allocation run fails (the message
-names the rate value). ``run`` writes each rate point's trajectory as
-soon as that point finishes, so a failure leaves the earlier points'
-``traj_R*.csv`` files and no ``summary.csv``.
+names the rate value). ``run`` writes each round of a rate point to that
+point's trajectory as soon as the round is made, so no run holds more than
+one round; every CSV is written under a temporary name and renamed once it
+is complete. A failure therefore leaves the earlier points' complete
+``traj_R*.csv`` files, nothing of the failing point and no ``summary.csv``.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -33,14 +36,26 @@ __all__ = ["main"]
 _CURVE_POINTS = 101  # r = 0, 1, ..., 100
 
 
-def _write_csv(path: Path, header: str, lines) -> None:
-    """Write ``header`` and then each newline-terminated text of ``lines`` as it arrives."""
-    with path.open("w", encoding="utf-8") as f:
-        f.write(header + "\n")
-        f.writelines(lines)
+@contextmanager
+def _write_csv(path: Path, header: str):
+    """Yield a text file that holds ``header``; it becomes ``path`` once the block completes.
+
+    The file is written as ``path`` plus ``.part`` and renamed at the end,
+    so a block that raises removes it and leaves no partial CSV behind.
+    """
+    part = path.with_name(path.name + ".part")
+    try:
+        with part.open("w", encoding="utf-8") as f:
+            f.write(header + "\n")
+            yield f
+        part.replace(path)
+    except BaseException:
+        part.unlink(missing_ok=True)
+        raise
 
 
-def _trajectory_lines(user_ids, trajectory):
+def _round_writer(write, user_ids):
+    """A per-round callback that passes each round to ``write`` as one block of CSV rows."""
     # repr sets this writer's cost, and a cycling run repeats most of its
     # rates: bisection returns one of a fixed set of bracket midpoints, and
     # the cycle revisits the same brackets within a few rounds. So each
@@ -48,10 +63,11 @@ def _trajectory_lines(user_ids, trajectory):
     # fills, and dropped after that, so memory stays per round however long
     # the run. Rates are > 0 and never NaN, and positive doubles that
     # compare equal have the same bits, so one cached text serves every
-    # equal key. Each round is yielded as one block of text.
+    # equal key.
     limit = 16 * len(user_ids)
     reprs = {}
-    for rec in trajectory:
+
+    def on_round(rec):
         if len(reprs) > limit:
             reprs.clear()
         head = f"{rec.n},{rec.price!r},"
@@ -61,20 +77,17 @@ def _trajectory_lines(user_ids, trajectory):
             if text is None:
                 text = reprs[rate] = repr(rate)
             rows.append(f"{head}{uid},{bid!r},{text}\n")
-        yield "".join(rows)
+        write("".join(rows))
+
+    return on_round
 
 
 def _run_point(scenario, r: float, out: Path) -> list[str]:
-    """Run one rate point, write its ``traj_R*.csv`` and return its summary lines.
-
-    Only the lines outlive the call, so the trajectory is freed before the
-    caller runs the next point: memory follows the longest point, not the
-    whole sweep.
-    """
-    result = run_sweep(replace(scenario, r_values=(r,)), trajectories=True).results[r]
+    """Run one rate point, writing its ``traj_R*.csv`` round by round; return its summary lines."""
     label = str(int(r)) if r.is_integer() else repr(r)
-    _write_csv(out / f"traj_R{label}.csv", "n,price,user_id,bid,rate",
-               _trajectory_lines(scenario.user_ids, result.trajectory))
+    with _write_csv(out / f"traj_R{label}.csv", "n,price,user_id,bid,rate") as f:
+        write_round = _round_writer(f.write, scenario.user_ids)
+        result = run_sweep(replace(scenario, r_values=(r,)), on_round=write_round).results[r]
     tail = f"{result.final_price!r},{result.iterations_used},{result.status}\n"
     return [f"{r!r},{uid},{rate!r},{float(u.value(rate))!r},{tail}"
             for (uid, u), rate in zip(scenario.users, result.final_rates)]
@@ -132,10 +145,12 @@ def main(argv=None) -> int:
         if args.command == "run":
             # points run one at a time in ascending order; summary.csv waits for the last
             summary = [line for r in scenario.r_values for line in _run_point(scenario, r, out)]
-            _write_csv(out / "summary.csv", "R,user_id,final_rate,final_utility,final_price,iterations,status",
-                       summary)
+            with _write_csv(out / "summary.csv",
+                            "R,user_id,final_rate,final_utility,final_price,iterations,status") as f:
+                f.writelines(summary)
         else:
-            _write_csv(out / "curves.csv", "r,user_id,utility,dlogU", _curve_lines(scenario))
+            with _write_csv(out / "curves.csv", "r,user_id,utility,dlogU") as f:
+                f.writelines(_curve_lines(scenario))
     except (SweepError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, SweepError) else 2

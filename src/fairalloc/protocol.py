@@ -13,8 +13,11 @@ Round n with outstanding bids w_i(n):
    the iteration cap.
 
 Bids start at ``initial_bid``, and round one's moves are measured from
-it. A run's result is its rounds: the final rates, bids and price are
-the last round's. At a fixed point the budget clears: summing
+it. Each round is one ``IterationRecord``. ``run_allocation`` either
+returns them all or hands each to an ``on_round`` callback as soon as it
+is made and keeps only the last, so a streamed run holds one round
+however many it takes. The final rates, bids and price are the last
+round's. At a fixed point the budget clears: summing
 w_i = p*r_i and p = sum(w)/R gives sum(r_i) = R, and every non-pinned
 user equalizes its log-utility slope with the price.
 
@@ -43,7 +46,7 @@ import math
 import numbers
 from dataclasses import dataclass, field
 
-from .solver import SolverConfig, solve_user_rate
+from .solver import HI_CAP, SolverConfig, solve_user_rate
 from .utility import positive_finite
 
 __all__ = [
@@ -124,10 +127,11 @@ class AllocationResult:
 
     The final state is the last round's: ``final_rates``, ``final_bids``
     and ``final_price`` read ``trajectory[-1]``, and ``iterations_used``
-    is its round number ``n`` (rounds count from 1). ``run_allocation``
-    returns every round; a ``run_sweep`` result may hold only the last
-    one, with the same final state and ``iterations_used``. A user pinned
-    in a round has a rate equal to the solver's ``bracket_lo`` exactly.
+    is its round number ``n`` (rounds count from 1). Without a callback
+    ``run_allocation`` keeps every round; with ``on_round``, and in every
+    ``run_sweep`` result, ``trajectory`` holds only the last round, with
+    the same status, final state and ``iterations_used``. A user pinned in
+    a round has a rate equal to the solver's ``bracket_lo`` exactly.
     """
 
     status: str
@@ -154,13 +158,24 @@ class AllocationResult:
         return self.trajectory[-1].n
 
 
-def run_allocation(utilities, total_rate: float, config: AllocationConfig = AllocationConfig()) -> AllocationResult:
+def run_allocation(
+    utilities, total_rate: float, config: AllocationConfig = AllocationConfig(), on_round=None
+) -> AllocationResult:
     """Iterate the bidding loop until the bids settle or the cap is hit.
 
     A pure function of its arguments: identical inputs give identical
-    trajectories. A cell rate below the users' pinned floor (each user
-    holds at least ``bracket_lo``) has no equilibrium and is rejected up
-    front; any positive ``a``, ``k`` and ``bracket_lo`` can be solved.
+    trajectories. With ``on_round``, each round's ``IterationRecord`` is
+    passed to ``on_round(record)`` as soon as it is made, and the result's
+    ``trajectory`` holds only the last round; without it, every round.
+
+    Two cell rates have no equilibrium and are rejected up front. One below
+    the users' pinned floor (each user holds at least ``bracket_lo``), and
+    one above the demand ceiling: the solver meets no root past ``HI_CAP``,
+    so no price below ``p_min = max_i log_slope_i(HI_CAP)`` has an answer,
+    and total demand at ``p_min`` is the most the users can take. The
+    ceiling is only computed for R > ``HI_CAP / 2``, because below that the
+    user that sets ``p_min`` alone demands about ``HI_CAP``. Any positive
+    ``a``, ``k`` and ``bracket_lo`` can be solved.
     """
     utilities = tuple(utilities)
     if not utilities:
@@ -173,9 +188,19 @@ def run_allocation(utilities, total_rate: float, config: AllocationConfig = Allo
             f"total rate R={total_rate} is below the pinned floor {floor} "
             f"({len(utilities)} users x bracket_lo {solver.bracket_lo})"
         )
+    if total_rate > HI_CAP / 2:
+        p_min = max(u.log_slope(HI_CAP) for u in utilities)
+        if p_min > 0.0:  # an all-sigmoid population's slopes underflow to 0 there
+            ceiling = sum(solve_user_rate(u, p_min, solver) for u in utilities)
+            if total_rate > ceiling:
+                raise ValueError(
+                    f"total rate R={total_rate} is above the demand ceiling {ceiling}, "
+                    f"the users' total demand at the lowest price they can meet ({p_min})"
+                )
     decay = config.decay
     bids = (config.initial_bid,) * len(utilities)
-    records: list[IterationRecord] = []
+    kept: list[IterationRecord] = []
+    emit = kept.append if on_round is None else on_round
     status = ITERATION_CAP
     for n in range(1, config.max_iter + 1):
         price = sum(bids) / total_rate
@@ -188,10 +213,11 @@ def run_allocation(utilities, total_rate: float, config: AllocationConfig = Allo
                 old + math.copysign(limit, w - old) if abs(w - old) > limit else w
                 for w, old in zip(new_bids, bids)
             ])
-        records.append(IterationRecord(n, price, new_bids, rates))
+        record = IterationRecord(n, price, new_bids, rates)
+        emit(record)
         moved = max(abs(w - w_prev) for w, w_prev in zip(new_bids, bids))
         bids = new_bids
         if moved <= config.delta:
             status = CONVERGED
             break
-    return AllocationResult(status, tuple(records))
+    return AllocationResult(status, tuple(kept) if on_round is None else (record,))

@@ -22,8 +22,8 @@ The numbers in a utility's ``params``, a decay policy, ``solver`` and
 ``config`` are the numeric init fields of the dataclass each one builds,
 read and written from ``dataclasses.fields()``, so every field
 round-trips. A field without a default is required. A user ``id`` is
-written raw into CSV output, so it may hold no comma, double quote or
-line break. Unknown keys are rejected, and every diagnostic names the
+written raw into UTF-8 CSV output, so it may hold no comma, double quote,
+line break or lone surrogate. Unknown keys are rejected, and every diagnostic names the
 offending field. ``load_scenario`` reads the file as UTF-8 (RFC 8259)
 and prefixes a decoding or JSON syntax error with the file's path.
 """
@@ -36,7 +36,7 @@ from dataclasses import MISSING, fields
 from pathlib import Path
 
 from .protocol import AllocationConfig, ExponentialDecay, RationalDecay
-from .sim import Scenario
+from .sim import Scenario, csv_safe
 from .solver import SolverConfig
 from .utility import LogUtility, SigmoidUtility
 
@@ -124,8 +124,9 @@ def _class_of(doc, path: str, types: dict):
 def _parse_user(doc, path: str):
     _check_keys(doc, path, required=("id", "type", "params"))
     uid = doc["id"]
-    if not isinstance(uid, str) or not uid or any(ch in uid for ch in ',"\r\n'):
-        _fail(f"{path}.id", f"expected a nonempty string without commas, quotes or line breaks, got {uid!r}")
+    if not csv_safe(uid):
+        _fail(f"{path}.id", f"expected a nonempty string without commas, quotes, line breaks or lone surrogates, "
+                            f"got {uid!r}")
     return uid, _build(_class_of(doc, path, _UTILITY_TYPES), doc["params"], f"{path}.params")
 
 

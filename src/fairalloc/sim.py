@@ -1,9 +1,13 @@
 """Scenario harness: named user populations and sweeps over the cell rate.
 
 A Scenario bundles an ordered user population (id, utility) with the
-list of total rates to evaluate and the loop configuration. Runs are
-independent per rate value (no warm starting), so any single point of a
-sweep can be reproduced in isolation.
+list of total rates to evaluate and the loop configuration. Its name is
+a nonempty string and each user id a nonempty string that UTF-8 CSV
+output can carry raw (no comma, double quote, line break or lone
+surrogate), the rules a scenario file is held to, so every Scenario
+round-trips through its file form.
+Runs are independent per rate value (no warm starting), so any single
+point of a sweep can be reproduced in isolation.
 """
 
 from __future__ import annotations
@@ -23,6 +27,17 @@ __all__ = [
 ]
 
 
+def csv_safe(text) -> bool:
+    """True for a nonempty string that UTF-8 CSV output can carry raw.
+
+    That rules out a comma, a double quote, a line break and a lone
+    surrogate, which UTF-8 cannot encode.
+    """
+    return isinstance(text, str) and bool(text) and not any(
+        ch in ',"\r\n' or "\ud800" <= ch <= "\udfff" for ch in text
+    )
+
+
 class SweepError(RuntimeError):
     """An allocation inside a sweep failed; the message names the rate value."""
 
@@ -37,12 +52,16 @@ class Scenario:
     def __post_init__(self):
         object.__setattr__(self, "users", tuple((str(i), u) for i, u in self.users))
         object.__setattr__(self, "r_values", tuple(float(r) for r in self.r_values))
+        if not isinstance(self.name, str) or not self.name:
+            raise ValueError(f"scenario name must be a nonempty string, got {self.name!r}")
         if not self.users:
             raise ValueError("scenario needs at least one user")
         ids = [i for i, _ in self.users]
         if len(set(ids)) != len(ids):
             raise ValueError(f"user ids must be unique, got {ids}")
         for i, u in self.users:
+            if not csv_safe(i):
+                raise ValueError(f"user id {i!r} is not a nonempty string that UTF-8 CSV can carry raw")
             if not isinstance(u, (SigmoidUtility, LogUtility)):
                 raise ValueError(f"user {i!r}: not a utility function: {u!r}")
         if not self.r_values:
@@ -91,25 +110,27 @@ def canonical_scenario(r_values=None, config: AllocationConfig | None = None) ->
     )
 
 
-def run_sweep(scenario: Scenario, *, trajectories: bool = False) -> SweepResult:
+def _discard(record) -> None:
+    pass
+
+
+def run_sweep(scenario: Scenario, *, on_round=None) -> SweepResult:
     """One independent allocation per rate value, in ascending order.
 
-    By default each point's result keeps only its last round: its
-    ``status``, ``final_*`` and ``iterations_used`` are those of the full
-    run, and its ``trajectory`` is that run's last record, so a sweep
-    holds one record per point however many rounds the points take.
-    ``trajectories=True`` keeps every round, giving each point exactly
-    the result ``run_allocation`` returns.
+    Each point's result keeps only its last round: its ``status``,
+    ``final_*`` and ``iterations_used`` are those of the full run, and
+    its ``trajectory`` is that run's last record. No point stores its
+    rounds: each is passed to ``on_round(record)`` as soon as it is made
+    (point after point, each point's rounds counting from ``n = 1``), or
+    dropped without ``on_round``. So a sweep holds one record per point
+    however many rounds the points take.
     """
     results: dict[float, AllocationResult] = {}
     for r in scenario.r_values:
         try:
-            result = run_allocation(scenario.utilities, r, scenario.config)
+            results[r] = run_allocation(scenario.utilities, r, scenario.config, on_round or _discard)
         except (ValueError, RuntimeError) as exc:
             raise SweepError(f"allocation failed at R={r!r}: {exc}") from exc
-        if not trajectories:  # cut before the next point runs, so one full trajectory is alive at a time
-            result = replace(result, trajectory=result.trajectory[-1:])
-        results[r] = result
     return SweepResult(results)
 
 

@@ -1,4 +1,15 @@
-"""The late rounds of a bidding run: where a settled run is still and a cycling one is not."""
+"""The late rounds of a bidding run and the equilibrium they are judged against.
+
+A settled run is still in its late rounds and a cycling one is not. The
+undamped loop is the map F(p) = p*D(p)/R on the price, with D(p) the
+total demand; its only fixed point is the equilibrium price p*, and its
+slope there is the loop gain g = 1 + p*D'(p*)/R. The helpers below find
+p* and g without running the bidding loop.
+"""
+
+import math
+
+from fairalloc import solve_user_rate
 
 
 def late_window(result) -> int:
@@ -11,3 +22,48 @@ def late_step(result) -> float:
     traj = result.trajectory
     steps = [max(abs(w1 - w0) for w0, w1 in zip(a.bids, b.bids)) for a, b in zip(traj, traj[1:])]
     return max(steps[-late_window(result):], default=0.0)
+
+
+def late_prices(result) -> list[float]:
+    """Announced prices over the last tenth of the rounds (``late_step``'s window)."""
+    return [rec.price for rec in result.trajectory[-late_window(result):]]
+
+
+def demand(sc, price: float) -> float:
+    """Total demand D(p) of the scenario's users at ``price``."""
+    return sum(solve_user_rate(u, price, sc.config.solver) for u in sc.utilities)
+
+
+def equilibrium_price(sc, total_rate: float) -> float:
+    """The price p* at which total demand D(p) meets R: 80 bisections on log p in [1e-8, 1e3].
+
+    D is strictly decreasing, so p* is the only fixed point of the undamped
+    map F(p) = p*D(p)/R; it is found here without running the bidding loop.
+    """
+    lo, hi = math.log(1e-8), math.log(1e3)
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if demand(sc, math.exp(mid)) > total_rate:
+            lo = mid
+        else:
+            hi = mid
+    return math.exp(0.5 * (lo + hi))
+
+
+def loop_gain(sc, total_rate: float, price: float) -> float:
+    """Slope g = 1 + p*D'(p)/R of the undamped map at p, D' by central difference.
+
+    At the fixed point, |g| < 1 attracts nearby prices and |g| > 1 repels them.
+    """
+    h = 1e-6 * price
+    slope = (demand(sc, price + h) - demand(sc, price - h)) / (2.0 * h)
+    return 1.0 + price * slope / total_rate
+
+
+def straddles(result, price: float) -> bool:
+    """Whether the late prices lie on both sides of ``price``.
+
+    F(p) > p exactly when p < p*, so any cycle of F has points on both sides of p*.
+    """
+    late = late_prices(result)
+    return min(late) < price < max(late)

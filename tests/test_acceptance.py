@@ -9,10 +9,10 @@ convergence map (settling for every cell rate R in 20..60, cycling only
 far above 60, monotone final prices across the default sweep), which is
 false for the reference population. The plain loop is the map
 F(p) = p*D(p)/R, with D(p) the total demand; its only fixed point is the
-equilibrium price p*, found here by bisection on D, and its slope there
-is the loop gain g = 1 + p*D'(p*)/R. The checks assert that a run
-settles exactly when |g| < 1, that the budget clears where it settles,
-and that a capped run's late prices straddle p* (every cycle of F does,
+equilibrium price p*, found by bisection on D (``late_rounds.py``), and
+its slope there is the loop gain g = 1 + p*D'(p*)/R. The checks assert
+that a run settles exactly when |g| < 1, that the budget clears where it
+settles, and that a capped run's late prices straddle p* (every cycle of F does,
 since F(p) > p exactly when p < p*). 04 does this for R in 20..60.
 06 finds no cycling on the paper's upward search (|g| < 1 at all 100
 probes), finds it at R = 5 with |g| > 1, and requires the exponential
@@ -26,7 +26,6 @@ cycle, not a shadow price. demos/damping_rescue.py reproduces the
 cycling bands.
 """
 
-import math
 from dataclasses import replace
 
 import mpmath as mp
@@ -41,11 +40,10 @@ from fairalloc import (
     find_nonconvergent_rate,
     grid_oracle,
     run_allocation,
-    run_sweep,
     solve_user_rate,
 )
 from fairalloc.cli import main
-from late_rounds import late_step, late_window
+from late_rounds import equilibrium_price, late_prices, late_step, loop_gain, straddles
 
 
 def _report(label: str, passed: bool, detail: str = ""):
@@ -54,47 +52,6 @@ def _report(label: str, passed: bool, detail: str = ""):
         line += f"\n             {detail}"
     print(line)
     assert passed, line
-
-
-def _late_prices(result) -> list[float]:
-    """Announced prices over the last tenth of the rounds (``late_step``'s window)."""
-    return [rec.price for rec in result.trajectory[-late_window(result):]]
-
-
-def _demand(sc, price: float) -> float:
-    return sum(solve_user_rate(u, price, sc.config.solver) for u in sc.utilities)
-
-
-def _equilibrium_price(sc, total_rate: float) -> float:
-    """The price p* at which total demand D(p) meets R: 80 bisections on log p in [1e-8, 1e3].
-
-    D is strictly decreasing, so p* is the only fixed point of the undamped
-    map F(p) = p*D(p)/R; it is found here without running the bidding loop.
-    """
-    lo, hi = math.log(1e-8), math.log(1e3)
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if _demand(sc, math.exp(mid)) > total_rate:
-            lo = mid
-        else:
-            hi = mid
-    return math.exp(0.5 * (lo + hi))
-
-
-def _loop_gain(sc, total_rate: float, price: float) -> float:
-    """Slope g = 1 + p*D'(p)/R of the undamped map at p, D' by central difference.
-
-    At the fixed point, |g| < 1 attracts nearby prices and |g| > 1 repels them.
-    """
-    h = 1e-6 * price
-    slope = (_demand(sc, price + h) - _demand(sc, price - h)) / (2.0 * h)
-    return 1.0 + price * slope / total_rate
-
-
-def _straddles(result, price: float) -> bool:
-    # F(p) > p exactly when p < p*, so any cycle of F has points on both sides of p*
-    late = _late_prices(result)
-    return min(late) < price < max(late)
 
 
 def test_01_utility_normalization(table_utilities):
@@ -176,8 +133,8 @@ def test_04_fixed_point_budget_identity():
     ok = True
     for R in (20.0, 30.0, 40.0, 50.0, 60.0):
         res = run_allocation(sc.utilities, R, replace(sc.config, decay=None))
-        p_star = _equilibrium_price(sc, R)
-        g = _loop_gain(sc, R, p_star)
+        p_star = equilibrium_price(sc, R)
+        g = loop_gain(sc, R, p_star)
         ok &= res.converged == (abs(g) < 1.0)
         if res.converged:
             gap = abs(sum(res.final_rates) - R)
@@ -188,8 +145,8 @@ def test_04_fixed_point_budget_identity():
                 f"|sum r - R|={gap:.2e} <= {bound:.2e}"
             )
         else:
-            late = _late_prices(res)
-            ok &= _straddles(res, p_star)
+            late = late_prices(res)
+            ok &= straddles(res, p_star)
             rows.append(
                 f"R={R:g}: g={g:.3g}, iteration cap after {res.iterations_used} rounds, "
                 f"late bid oscillation {late_step(res):.2f}, late prices "
@@ -232,7 +189,7 @@ def test_06_robustness_demonstration():
     # the fixed point attracts, so an upward search finds none
     found = find_nonconvergent_rate(sc, start=100.0, step=100.0, limit=10_000.0)
     probed = [float(R) for R in range(100, 10_001, 100)]
-    worst_up = max(abs(_loop_gain(sc, R, _equilibrium_price(sc, R))) for R in probed)
+    worst_up = max(abs(loop_gain(sc, R, equilibrium_price(sc, R))) for R in probed)
     clause1 = found is None and worst_up < 1.0
     clause1_msg = f"upward search R=100..10000: found {found!r}, max |g| = {worst_up:.2f}"
 
@@ -243,7 +200,7 @@ def test_06_robustness_demonstration():
         clause2_msg = "search R=5..100: every undamped run converged"
     else:
         plain = run_allocation(sc.utilities, cycling, plain_cfg)
-        g = _loop_gain(sc, cycling, _equilibrium_price(sc, cycling))
+        g = loop_gain(sc, cycling, equilibrium_price(sc, cycling))
         clause2 = (not plain.converged) and late_step(plain) > sc.config.delta and abs(g) > 1.0
         clause2_msg = (
             f"search R=5..100 finds R={cycling:g}: plain cap with late oscillation "
@@ -285,18 +242,19 @@ def test_07_price_monotonicity():
     # price: monotonicity is asserted over the converged points, and each
     # capped point's cycle must surround its equilibrium price instead
     sc = canonical_scenario()
-    sweep = run_sweep(sc, trajectories=True)  # the late prices of capped points are read below
+    # full runs, because the late prices of capped points are read below
+    results = {R: run_allocation(sc.utilities, R, sc.config) for R in sc.r_values}
     problems = []
     converged = []
-    for R, res in sweep.results.items():
-        p_star = _equilibrium_price(sc, R)
-        g = _loop_gain(sc, R, p_star)
+    for R, res in results.items():
+        p_star = equilibrium_price(sc, R)
+        g = loop_gain(sc, R, p_star)
         if res.converged != (abs(g) < 1.0):
             problems.append(f"R={R:g}: {res.status} with g={g:.3g}")
         if res.converged:
             converged.append((R, res.final_price))
-        elif not _straddles(res, p_star):
-            late = _late_prices(res)
+        elif not straddles(res, p_star):
+            late = late_prices(res)
             problems.append(f"R={R:g}: late prices {min(late):.4g}..{max(late):.4g} miss p*={p_star:.4g}")
     problems += [
         f"R={a[0]:g}->{b[0]:g}: converged price {a[1]:.4g}->{b[1]:.4g}"
@@ -308,7 +266,7 @@ def test_07_price_monotonicity():
         not problems,
         "; ".join(problems)
         or f"{len(converged)} converged points non-increasing, all with |g| < 1; "
-        f"{len(sweep.results) - len(converged)} capped points with |g| > 1 cycle round p*",
+        f"{len(results) - len(converged)} capped points with |g| > 1 cycle round p*",
     )
 
 

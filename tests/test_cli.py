@@ -10,6 +10,7 @@ import pytest
 from fairalloc import (
     AllocationConfig,
     ExponentialDecay,
+    SweepError,
     canonical_scenario,
     cli,
     run_allocation,
@@ -116,10 +117,11 @@ class TestRun:
         assert [int(row[5]) for row in rows] == [n for _, n in calls for _ in ids]
 
     def test_memory_follows_one_point_not_the_sweep(self, tmp_path):
-        # Every point below cycles to the cap, so each holds max_iter rounds.
+        # Every point below cycles to the cap, so each runs max_iter rounds.
         # Holding all four trajectories at once peaked at 1.42x the one-point
-        # run (the one-point peak also holds that point's formatted rows);
-        # holding one at a time peaks at 1.09x.
+        # run. Each round now goes to its file as it is made, so neither run
+        # holds a trajectory, and the four-point run peaks at 1.18x: three
+        # more points' summary lines and results.
         cfg = write_config(tmp_path, r_values=(5.0,), config=AllocationConfig(max_iter=200))
 
         def run(rates, out):
@@ -137,6 +139,28 @@ class TestRun:
         _, rows = read_csv(tmp_path / "5,10,15,20" / "summary.csv")
         assert {row[6] for row in rows} == {"iteration_cap_reached"}
         assert peaks["5,10,15,20"] < 1.25 * peaks["5"]
+
+    def test_memory_stays_flat_as_rounds_grow(self, tmp_path):
+        # R = 5 cycles to the cap, so the point runs exactly max_iter rounds.
+        # Writing the trajectory after the run peaked at 6.5x from 100 to
+        # 1000 rounds; written round by round, the run holds one round and
+        # peaks at 1.07x.
+        def run(n, out):
+            cfg = write_config(tmp_path, r_values=(5.0,), config=AllocationConfig(max_iter=n), name=f"{n}.json")
+            return main(["run", "--config", str(cfg), "--out", str(tmp_path / out)])
+
+        assert run(100, "warm") == 0  # one-time allocations stay out of the peaks
+        peaks = {}
+        for n in (100, 1000):
+            tracemalloc.start()
+            try:
+                assert run(n, str(n)) == 0
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            _, rows = read_csv(tmp_path / str(n) / "summary.csv")
+            assert {(row[5], row[6]) for row in rows} == {(str(n), "iteration_cap_reached")}
+        assert peaks[1000] <= 1.2 * peaks[100]
 
     def test_rate_override_replaces_config_values(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -177,6 +201,15 @@ class TestRun:
         cfg.write_text(json.dumps(doc))
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
         assert "users[2].id" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_user_id_utf8_cannot_encode_exits_2_before_any_output(self, tmp_path, capsys):
+        doc = scenario_to_dict(canonical_scenario(r_values=(60.0,)))
+        doc["users"][1]["id"] = "Sig\ud8002"  # a lone surrogate, which json reads from the escape \ud800
+        cfg = tmp_path / "surrogate.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert "users[1].id" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_non_finite_setting_exits_2(self, tmp_path, capsys):
@@ -271,6 +304,32 @@ class TestRun:
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 3
         assert "R=1000000000000.0" in capsys.readouterr().err
         # the point before the failing one keeps its trajectory; no summary is written
+        assert sorted(p.name for p in out.iterdir()) == ["traj_R30.csv"]
+
+    def test_rate_above_the_demand_ceiling_exits_3_before_any_round(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out), "--R", "60,3e9"]) == 3
+        err = capsys.readouterr().err
+        assert "R=3000000000.0" in err and "demand ceiling 2781716593." in err
+        assert sorted(p.name for p in out.iterdir()) == ["traj_R60.csv"]
+
+    def test_a_point_that_fails_mid_run_leaves_no_partial_file(self, tmp_path, capsys, monkeypatch):
+        cfg = write_config(tmp_path, r_values=(30.0, 60.0))
+        out = tmp_path / "out"
+        real_run_sweep = cli.run_sweep
+
+        def fail_in_round_3_at_60(scenario, *, on_round):
+            def write_then_fail(record):
+                on_round(record)
+                if scenario.r_values == (60.0,) and record.n == 3:
+                    raise SweepError("stopped after round 3")
+
+            return real_run_sweep(scenario, on_round=write_then_fail)
+
+        monkeypatch.setattr(cli, "run_sweep", fail_in_round_3_at_60)
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 3
+        assert "stopped after round 3" in capsys.readouterr().err
         assert sorted(p.name for p in out.iterdir()) == ["traj_R30.csv"]
 
 

@@ -270,6 +270,23 @@ class TestRunAllocation:
         with pytest.raises(ValueError, match=rf"R={total_rate}\b.*floor 0\.006"):
             run_allocation(canonical_scenario().utilities, total_rate)
 
+    @pytest.mark.parametrize("total_rate", [3e9, 1e10])
+    def test_rejects_a_budget_above_the_demand_ceiling(self, total_rate):
+        # no root lies past HI_CAP = 1e9, so no price below p_min = max log_slope(HI_CAP)
+        # is met, and at p_min the six users take only about 2.7817e9 (3e9 died in round 3)
+        with pytest.raises(ValueError, match=rf"R={total_rate}\b.*demand ceiling 2781716593\."):
+            run_allocation(canonical_scenario().utilities, total_rate)
+
+    def test_runs_a_budget_just_under_the_demand_ceiling(self):
+        res = run_allocation(canonical_scenario().utilities, 2.78e9)
+        assert (res.status, res.iterations_used) == (CONVERGED, 3)
+        assert res.final_price == 5.065795617824976e-11  # as before the ceiling check existed
+
+    def test_no_ceiling_when_every_slope_underflows_at_the_bracket_cap(self):
+        # both log-slopes are 0.0 at HI_CAP, so p_min is 0 and the loop runs as before
+        res = run_allocation([SigmoidUtility(a=5.0, b=10.0), SigmoidUtility(a=1.0, b=30.0)], 1e9)
+        assert (res.status, res.iterations_used) == (CONVERGED, 2)
+
     @pytest.mark.parametrize(
         "user", [LogUtility(k=1e-30, r_max=1e30), SigmoidUtility(a=1e-30, b=10.0)], ids=["log", "sigmoid"]
     )

@@ -129,6 +129,29 @@ class TestRoundTrip:
         text = json.dumps(scenario_to_dict(sc))
         assert parse_scenario(json.loads(text)) == sc
 
+    @pytest.mark.parametrize(
+        "name, user_id",
+        [
+            ("", "Sig1"),
+            ("x", "Sig,1"),
+            ("x", 'Sig"1'),
+            ("x", "Sig\r1"),
+            ("x", "Sig\n1"),
+            ("x", ""),
+            ("x", "Sig\ud800"),
+        ],
+        ids=["empty-name", "comma", "quote", "cr", "lf", "empty-id", "lone-surrogate"],
+    )
+    def test_a_scenario_the_file_form_cannot_carry_is_rejected(self, name, user_id):
+        users = canonical_scenario().users
+        with pytest.raises(ValueError, match="name" if not name else "user id"):
+            replace(canonical_scenario(), name=name, users=((user_id, users[0][1]), *users[1:]))
+
+    def test_any_other_name_and_id_round_trip(self):
+        sc = canonical_scenario()
+        sc = replace(sc, name=" a, \"b\"\n", users=(("Usu\u00e1rio 1\t;", sc.users[0][1]), *sc.users[1:]))
+        assert parse_scenario(json.loads(json.dumps(scenario_to_dict(sc)))) == sc
+
     @pytest.mark.parametrize("decay", [None, ExponentialDecay(l1=4.0, l2=8.0), RationalDecay(l3=2.5)])
     def test_every_field_round_trips(self, decay):
         config = AllocationConfig(

@@ -80,37 +80,73 @@ class TestRunSweep:
 
     def test_points_are_independent(self):
         sc = canonical_scenario(r_values=[30.0, 60.0])
-        sweep = run_sweep(sc, trajectories=True)
-        alone = run_sweep(canonical_scenario(r_values=[60.0]), trajectories=True).results[60.0]
+        rounds, alone = [], []
+        sweep = run_sweep(sc, on_round=rounds.append)
+        kept = run_sweep(canonical_scenario(r_values=[60.0]), on_round=alone.append).results[60.0]
+        first = run_allocation(sc.utilities, 30.0, sc.config)
         direct = run_allocation(sc.utilities, 60.0, sc.config)
-        assert sweep.results[60.0] == alone == direct
+        # the sweep hands over the 30 point's rounds and then exactly the rounds the 60 point makes alone
+        assert tuple(rounds) == first.trajectory + direct.trajectory
+        assert tuple(alone) == direct.trajectory
+        assert sweep.results[60.0] == kept == replace(direct, trajectory=direct.trajectory[-1:])
 
     @pytest.mark.parametrize("r", [20.0, 60.0], ids=["capped", "converged"])
     def test_keeps_each_points_last_round_unless_asked(self, r):
         sc = canonical_scenario(r_values=[r])
         full = run_allocation(sc.utilities, r, sc.config)
-        assert run_sweep(sc, trajectories=True).results[r] == full
+        rounds = []
+        streamed = run_sweep(sc, on_round=rounds.append).results[r]
+        assert tuple(rounds) == full.trajectory
         kept = run_sweep(sc).results[r]
-        assert kept == replace(full, trajectory=full.trajectory[-1:])
+        assert kept == streamed == replace(full, trajectory=full.trajectory[-1:])
         assert kept.iterations_used == full.iterations_used == len(full.trajectory) > 1
 
     def test_memory_follows_one_point_not_the_sweep(self):
-        # Every point below cycles to the cap, so each runs max_iter rounds.
-        # Keeping every point's full trajectory peaked at 5.6x the one-point
-        # sweep; keeping each point's last round peaks at 1.05x, since only
-        # the running point's trajectory is whole.
+        # Every point below cycles to the cap, so each runs max_iter rounds,
+        # and the consumer holds the running point's rounds, as a writer
+        # that buffers one file would. The sweep itself keeps one record per
+        # finished point, so the four-point peak is the one-point peak plus
+        # three records: 1.05x. A sweep that kept every point's rounds
+        # peaked at 5.6x.
         config = AllocationConfig(max_iter=200)
-        run_sweep(canonical_scenario(r_values=[5.0], config=config))  # one-time allocations stay out of the peaks
+        held = []
+
+        def hold_running_point(record):
+            if record.n == 1:
+                held.clear()
+            held.append(record)
+
+        # one-time allocations stay out of the peaks
+        run_sweep(canonical_scenario(r_values=[5.0], config=config), on_round=hold_running_point)
         peaks = {}
         for rates in ([5.0], [5.0, 10.0, 15.0, 20.0]):
+            held.clear()
             tracemalloc.start()
             try:
-                sweep = run_sweep(canonical_scenario(r_values=rates, config=config))
+                sweep = run_sweep(canonical_scenario(r_values=rates, config=config), on_round=hold_running_point)
                 peaks[len(rates)] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
             assert {res.status for res in sweep.results.values()} == {ITERATION_CAP}
+            assert len(held) == 200
         assert peaks[4] < 1.25 * peaks[1]
+
+    def test_memory_stays_flat_as_rounds_grow(self):
+        # R = 5 cycles to the cap, so the point runs exactly max_iter rounds.
+        # A point that stored its rounds before cutting them peaked at 14x
+        # from 100 to 1000 rounds; streamed, the peak holds one round (0.94x).
+        configs = {n: AllocationConfig(max_iter=n) for n in (100, 1000)}
+        run_sweep(canonical_scenario(r_values=[5.0], config=configs[100]))  # one-time allocations stay out of the peaks
+        peaks = {}
+        for n, config in configs.items():
+            tracemalloc.start()
+            try:
+                result = run_sweep(canonical_scenario(r_values=[5.0], config=config)).results[5.0]
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert (result.status, result.iterations_used) == (ITERATION_CAP, n)
+        assert peaks[1000] <= 1.2 * peaks[100]
 
     def test_preserves_rate_order(self):
         sweep = run_sweep(canonical_scenario(r_values=[30.0, 60.0, 65.0]))

@@ -6,8 +6,9 @@ The base is a checkout directory or a git ref, as for ``bench_pairs.py``.
 The benchmark's three populations (``bench/workloads.py``) are written
 once as scenario files, and both trees run the same commands on the same
 files, each as ``python -m fairalloc.cli`` with ``PYTHONPATH=<tree>/src``:
-``run`` on every population, ``run --R 7.5,30``, ``curves``, and ``fit``
-once succeeding and once failing. Every output file's bytes, stdout,
+``run`` on every population, ``run --R 7.5,30``, ``run --R 2.7e9`` (roots
+past the first upper bracket, near the demand ceiling), ``curves``, and
+``fit`` once succeeding and once failing. Every output file's bytes, stdout,
 stderr and exit code are compared. The CLI writes every round of every
 point with ``repr``, so identical files also mean identical library
 records. Prints the first difference and exits 1 on any; exits 0 and
@@ -48,6 +49,7 @@ def cases(populations: dict[str, Path]) -> dict[str, list[str]]:
     return {
         **runs,
         "run --R 7.5,30": ["run", "--config", canonical, "--out", "out", "--R", "7.5,30"],
+        "run --R 2.7e9": ["run", "--config", canonical, "--out", "out", "--R", "2.7e9"],
         "curves": ["curves", "--config", canonical, "--out", "out"],
         "fit": ["fit", "200", "0.05", "740", "0.99"],
         "fit error": ["fit", "740", "0.05", "200", "0.99"],
