@@ -84,8 +84,7 @@ def _round_writer(write, user_ids):
 
 def _run_point(scenario, r: float, out: Path) -> list[str]:
     """Run one rate point, writing its ``traj_R*.csv`` round by round; return its summary lines."""
-    label = str(int(r)) if r.is_integer() else repr(r)
-    with _write_csv(out / f"traj_R{label}.csv", "n,price,user_id,bid,rate") as f:
+    with _write_csv(out / f"traj_R{repr(r).removesuffix('.0')}.csv", "n,price,user_id,bid,rate") as f:
         write_round = _round_writer(f.write, scenario.user_ids)
         result = run_sweep(replace(scenario, r_values=(r,)), on_round=write_round).results[r]
     tail = f"{result.final_price!r},{result.iterations_used},{result.status}\n"

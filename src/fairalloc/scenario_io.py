@@ -21,11 +21,14 @@ Document layout (config keys all optional, falling back to defaults):
 The numbers in a utility's ``params``, a decay policy, ``solver`` and
 ``config`` are the numeric init fields of the dataclass each one builds,
 read and written from ``dataclasses.fields()``, so every field
-round-trips. A field without a default is required. A user ``id`` is
-written raw into UTF-8 CSV output, so it may hold no comma, double quote,
-line break or lone surrogate. Unknown keys are rejected, and every diagnostic names the
-offending field. ``load_scenario`` reads the file as UTF-8 (RFC 8259)
-and prefixes a decoding or JSON syntax error with the file's path.
+round-trips. A field without a default is required. This module checks
+only the document's shape: objects, lists, numbers, integers, unknown
+keys and empty lists. The values' own rules, such as the nonempty name
+and the user ids that UTF-8 CSV output can carry raw, are checked by the
+classes it builds, whose message it prefixes with the section's path.
+Every diagnostic names the offending field. ``load_scenario`` reads the
+file as UTF-8 (RFC 8259) and prefixes a decoding or JSON syntax error
+with the file's path.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from dataclasses import MISSING, fields
 from pathlib import Path
 
 from .protocol import AllocationConfig, ExponentialDecay, RationalDecay
-from .sim import Scenario, csv_safe
+from .sim import Scenario
 from .solver import SolverConfig
 from .utility import LogUtility, SigmoidUtility
 
@@ -123,11 +126,7 @@ def _class_of(doc, path: str, types: dict):
 
 def _parse_user(doc, path: str):
     _check_keys(doc, path, required=("id", "type", "params"))
-    uid = doc["id"]
-    if not csv_safe(uid):
-        _fail(f"{path}.id", f"expected a nonempty string without commas, quotes, line breaks or lone surrogates, "
-                            f"got {uid!r}")
-    return uid, _build(_class_of(doc, path, _UTILITY_TYPES), doc["params"], f"{path}.params")
+    return doc["id"], _build(_class_of(doc, path, _UTILITY_TYPES), doc["params"], f"{path}.params")
 
 
 def _parse_decay(doc, path: str):
@@ -144,8 +143,6 @@ _CONFIG_PARSERS = {"decay": _parse_decay, "solver": functools.partial(_build, So
 def parse_scenario(doc) -> Scenario:
     """Validate a scenario document (parsed JSON) into a Scenario."""
     _check_keys(doc, "scenario", required=("name", "users", "R_values"), optional=("config",))
-    if not isinstance(doc["name"], str) or not doc["name"]:
-        _fail("scenario.name", f"expected a nonempty string, got {doc['name']!r}")
     if not isinstance(doc["users"], list) or not doc["users"]:
         _fail("scenario.users", "expected a nonempty list")
     users = tuple(_parse_user(u, f"users[{i}]") for i, u in enumerate(doc["users"]))

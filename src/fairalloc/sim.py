@@ -4,8 +4,9 @@ A Scenario bundles an ordered user population (id, utility) with the
 list of total rates to evaluate and the loop configuration. Its name is
 a nonempty string and each user id a nonempty string that UTF-8 CSV
 output can carry raw (no comma, double quote, line break or lone
-surrogate), the rules a scenario file is held to, so every Scenario
-round-trips through its file form.
+surrogate); an id of any other type is refused, not converted. Scenario
+is the only place these rules are checked, for scenario files too, so
+every Scenario round-trips through its file form.
 Runs are independent per rate value (no warm starting), so any single
 point of a sweep can be reproduced in isolation.
 """
@@ -50,20 +51,21 @@ class Scenario:
     config: AllocationConfig = field(default_factory=AllocationConfig)
 
     def __post_init__(self):
-        object.__setattr__(self, "users", tuple((str(i), u) for i, u in self.users))
+        object.__setattr__(self, "users", tuple((i, u) for i, u in self.users))
         object.__setattr__(self, "r_values", tuple(float(r) for r in self.r_values))
         if not isinstance(self.name, str) or not self.name:
-            raise ValueError(f"scenario name must be a nonempty string, got {self.name!r}")
+            raise ValueError(f"scenario.name: expected a nonempty string, got {self.name!r}")
         if not self.users:
             raise ValueError("scenario needs at least one user")
-        ids = [i for i, _ in self.users]
-        if len(set(ids)) != len(ids):
-            raise ValueError(f"user ids must be unique, got {ids}")
-        for i, u in self.users:
+        for k, (i, u) in enumerate(self.users):
             if not csv_safe(i):
-                raise ValueError(f"user id {i!r} is not a nonempty string that UTF-8 CSV can carry raw")
+                raise ValueError(f"users[{k}].id: a user id must be a nonempty string without commas, quotes, "
+                                 f"line breaks or lone surrogates, got {i!r}")
             if not isinstance(u, (SigmoidUtility, LogUtility)):
                 raise ValueError(f"user {i!r}: not a utility function: {u!r}")
+        ids = [i for i, _ in self.users]  # all strings by now, so hashable
+        if len(set(ids)) != len(ids):
+            raise ValueError(f"user ids must be unique, got {ids}")
         if not self.r_values:
             raise ValueError("r_values must be nonempty")
         for r in self.r_values:
@@ -124,12 +126,28 @@ def run_sweep(scenario: Scenario, *, on_round=None) -> SweepResult:
     (point after point, each point's rounds counting from ``n = 1``), or
     dropped without ``on_round``. So a sweep holds one record per point
     however many rounds the points take.
+
+    A failure of the allocation itself (a rate below the pinned floor or
+    above the demand ceiling, or a ``NoRootError``) is raised as a
+    ``SweepError`` that names the rate. Whatever ``on_round`` raises is
+    passed on unchanged and ends the sweep.
     """
     results: dict[float, AllocationResult] = {}
+    raised = []  # what on_round raised, so it is not taken for an allocation failure
+
+    def relay(record):
+        try:
+            on_round(record)
+        except BaseException as exc:
+            raised.append(exc)
+            raise
+
     for r in scenario.r_values:
         try:
-            results[r] = run_allocation(scenario.utilities, r, scenario.config, on_round or _discard)
+            results[r] = run_allocation(scenario.utilities, r, scenario.config, relay if on_round else _discard)
         except (ValueError, RuntimeError) as exc:
+            if raised:
+                raise
             raise SweepError(f"allocation failed at R={r!r}: {exc}") from exc
     return SweepResult(results)
 

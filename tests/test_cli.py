@@ -314,6 +314,14 @@ class TestRun:
         assert "R=3000000000.0" in err and "demand ceiling 2781716593." in err
         assert sorted(p.name for p in out.iterdir()) == ["traj_R60.csv"]
 
+    def test_a_huge_rate_fails_on_its_rate_not_on_its_file_name(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out), "--R", "60,1e300"]) == 3
+        err = capsys.readouterr().err
+        assert "R=1e+300" in err and "demand ceiling 2781716593." in err
+        assert sorted(p.name for p in out.iterdir()) == ["traj_R60.csv"]
+
     def test_a_point_that_fails_mid_run_leaves_no_partial_file(self, tmp_path, capsys, monkeypatch):
         cfg = write_config(tmp_path, r_values=(30.0, 60.0))
         out = tmp_path / "out"

@@ -85,6 +85,7 @@ class TestParse:
             (lambda d: d["users"][1].update(id='Log"3'), "users[1].id"),
             (lambda d: d["users"][0].update(id="Sig\n1"), "users[0].id"),
             (lambda d: d["users"][1].update(id="Log\r3"), "users[1].id"),
+            (lambda d: d["users"][0].update(id=5), "users[0].id"),
             (lambda d: d.update(config=5), "config: expected an object"),
             (lambda d: d["users"][0]["params"].update(a="5"), "users[0].params.a"),
             (lambda d: d.update(config={"decay": {"l1": 5}}), "config.decay"),

@@ -66,6 +66,14 @@ class TestScenario:
         with pytest.raises(ValueError):
             Scenario(name="bad", users=(("u", object()),), r_values=(10.0,))
 
+    def test_rejects_a_non_string_id_instead_of_converting_it(self):
+        with pytest.raises(ValueError, match=r"users\[1\]\.id: a user id .* got 5"):
+            Scenario(
+                name="int",
+                users=(("u", LogUtility(k=1.0, r_max=10.0)), (5, LogUtility(k=2.0, r_max=10.0))),
+                r_values=(10.0,),
+            )
+
 
 class TestRunSweep:
     def test_budget_identity_per_converged_point(self):
@@ -160,6 +168,17 @@ class TestRunSweep:
         )
         with pytest.raises(SweepError, match="1000000000000"):
             run_sweep(sc)
+
+    def test_passes_on_round_errors_on_unchanged(self):
+        bug = ValueError("my own bug")
+
+        def fail_in_round_2(record):
+            if record.n == 2:
+                raise bug
+
+        with pytest.raises(ValueError) as caught:
+            run_sweep(canonical_scenario(r_values=[60.0]), on_round=fail_in_round_2)
+        assert caught.value is bug
 
 
 def _plain_and_damped(sc, total_rate):

@@ -8,8 +8,12 @@ once as scenario files, and both trees run the same commands on the same
 files, each as ``python -m fairalloc.cli`` with ``PYTHONPATH=<tree>/src``:
 ``run`` on every population, ``run --R 7.5,30``, ``run --R 2.7e9`` (roots
 past the first upper bracket, near the demand ceiling), ``curves``, and
-``fit`` once succeeding and once failing. Every output file's bytes, stdout,
-stderr and exit code are compared. The CLI writes every round of every
+``fit`` once succeeding and once failing. Two cases exit with an error:
+``run --R 60,3e9`` (exit 3 above the demand ceiling, after the 60 point's
+file is kept) and ``run`` on a copy of the canonical population with the
+unknown key ``config.solver.rel_tol`` (exit 2). Every output file's bytes,
+stdout, stderr and exit code are compared, so a ``.part`` file left behind
+shows up as a difference. The CLI writes every round of every
 point with ``repr``, so identical files also mean identical library
 records. Prints the first difference and exits 1 on any; exits 0 and
 prints the number of outputs compared otherwise.
@@ -32,13 +36,17 @@ import workloads  # noqa: E402
 
 
 def write_populations(dest: Path) -> dict[str, Path]:
-    """Write each benchmark population as a scenario file; return the paths by workload."""
+    """Write each benchmark population, and one malformed population, as a scenario file; return the paths."""
     fa = workloads.import_fairalloc()
     paths = {}
     for workload in workloads.WORKLOADS:
         text = workloads.generated_doc(workload) or json.dumps(workloads.scenario_doc(workload, fa))
         paths[workload] = dest / f"{workload}.json"
         paths[workload].write_text(text, encoding="utf-8")
+    malformed = workloads.scenario_doc("canonical-plain", fa)
+    malformed["config"]["solver"]["rel_tol"] = 1e-8
+    paths["unknown key"] = dest / "unknown-key.json"
+    paths["unknown key"].write_text(json.dumps(malformed), encoding="utf-8")
     return paths
 
 
@@ -50,6 +58,7 @@ def cases(populations: dict[str, Path]) -> dict[str, list[str]]:
         **runs,
         "run --R 7.5,30": ["run", "--config", canonical, "--out", "out", "--R", "7.5,30"],
         "run --R 2.7e9": ["run", "--config", canonical, "--out", "out", "--R", "2.7e9"],
+        "run --R 60,3e9": ["run", "--config", canonical, "--out", "out", "--R", "60,3e9"],
         "curves": ["curves", "--config", canonical, "--out", "out"],
         "fit": ["fit", "200", "0.05", "740", "0.99"],
         "fit error": ["fit", "740", "0.05", "200", "0.99"],
