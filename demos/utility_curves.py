@@ -8,12 +8,10 @@ tabulated here side by side. Saves a plot, utility_curves.png, into the
 working directory when matplotlib is importable.
 """
 
-import numpy as np
-
 from fairalloc import SigmoidUtility, canonical_scenario
 
 users = canonical_scenario().users
-rates = np.arange(0.0, 101.0)
+rates = [float(r) for r in range(101)]
 
 print("satisfaction U(r)")
 print(f"{'r':>5} " + " ".join(f"{uid:>9}" for uid, _ in users))
@@ -45,7 +43,7 @@ except ImportError:
 if plt is not None:
     fig, (top, bottom) = plt.subplots(2, 1, figsize=(8, 8), sharex=True)
     for uid, u in users:
-        top.plot(rates, u.value(rates), label=uid)
+        top.plot(rates, [u.value(r) for r in rates], label=uid)
         bottom.semilogy(rates[1:], [u.log_slope(r) for r in rates[1:]], label=uid)
     top.set_ylabel("satisfaction U(r)")
     top.legend(ncol=2)

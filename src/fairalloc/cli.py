@@ -88,7 +88,7 @@ def _run_point(scenario, r: float, out: Path) -> list[str]:
         write_round = _round_writer(f.write, scenario.user_ids)
         result = run_sweep(replace(scenario, r_values=(r,)), on_round=write_round).results[r]
     tail = f"{result.final_price!r},{result.iterations_used},{result.status}\n"
-    return [f"{r!r},{uid},{rate!r},{float(u.value(rate))!r},{tail}"
+    return [f"{r!r},{uid},{rate!r},{u.value(rate)!r},{tail}"
             for (uid, u), rate in zip(scenario.users, result.final_rates)]
 
 
@@ -98,7 +98,7 @@ def _curve_lines(scenario):
         r = float(j)
         for uid, u in scenario.users:
             slope = "" if j == 0 else repr(u.log_slope(r))  # diverges at r = 0
-            yield f"{r!r},{uid},{float(u.value(r))!r},{slope}\n"
+            yield f"{r!r},{uid},{u.value(r)!r},{slope}\n"
 
 
 def _parse_rate_list(text: str) -> list[float]:

@@ -174,8 +174,11 @@ def run_allocation(
     so no price below ``p_min = max_i log_slope_i(HI_CAP)`` has an answer,
     and total demand at ``p_min`` is the most the users can take. The
     ceiling is only computed for R > ``HI_CAP / 2``, because below that the
-    user that sets ``p_min`` alone demands about ``HI_CAP``. Any positive
-    ``a``, ``k`` and ``bracket_lo`` can be solved.
+    user that sets ``p_min`` alone demands about ``HI_CAP``. When every
+    slope underflows to 0 at ``HI_CAP`` (sigmoid users only), ``p_min`` is
+    the smallest positive double, the lowest price a round can announce,
+    and the ceiling is computed for every R. Any positive ``a``, ``k`` and
+    ``bracket_lo`` can be solved.
     """
     utilities = tuple(utilities)
     if not utilities:
@@ -188,15 +191,15 @@ def run_allocation(
             f"total rate R={total_rate} is below the pinned floor {floor} "
             f"({len(utilities)} users x bracket_lo {solver.bracket_lo})"
         )
-    if total_rate > HI_CAP / 2:
-        p_min = max(u.log_slope(HI_CAP) for u in utilities)
-        if p_min > 0.0:  # an all-sigmoid population's slopes underflow to 0 there
-            ceiling = sum(solve_user_rate(u, p_min, solver) for u in utilities)
-            if total_rate > ceiling:
-                raise ValueError(
-                    f"total rate R={total_rate} is above the demand ceiling {ceiling}, "
-                    f"the users' total demand at the lowest price they can meet ({p_min})"
-                )
+    p_min = max(u.log_slope(HI_CAP) for u in utilities)
+    if p_min == 0.0 or total_rate > HI_CAP / 2:
+        p_min = max(p_min, math.ulp(0.0))  # every slope underflows at HI_CAP: the lowest positive price
+        ceiling = sum(solve_user_rate(u, p_min, solver) for u in utilities)
+        if total_rate > ceiling:
+            raise ValueError(
+                f"total rate R={total_rate} is above the demand ceiling {ceiling}, "
+                f"the users' total demand at the lowest price they can meet ({p_min})"
+            )
     decay = config.decay
     bids = (config.initial_bid,) * len(utilities)
     kept: list[IterationRecord] = []

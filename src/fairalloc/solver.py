@@ -50,9 +50,9 @@ that no double lies strictly between them. Every other step shrinks the
 bracket strictly, so the loop always ends, and it ends at the root
 however far below ``BRACKET_HI`` (and above ``bracket_lo``) the root lies.
 
-``grid_oracle`` is the brute-force cross-check used by the tests: it
-scans an explicit rate grid for the best objective value and never
-touches the derivative.
+``grid_oracle`` is a brute-force cross-check: a plain-Python scan of an
+explicit rate grid for the best objective value, which never touches the
+derivative.
 """
 
 from __future__ import annotations
@@ -60,8 +60,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-
-import numpy as np
 
 from .utility import UtilityFunction, positive_finite
 
@@ -144,14 +142,17 @@ def grid_oracle(u: UtilityFunction, price: float, r_grid) -> float:
     """Grid point maximizing log U(r) - price*r by exhaustive scan.
 
     The grid must be nonempty, strictly ascending and entirely positive.
-    Rates where U underflows to zero score -inf and can never win.
+    Rates where U underflows to zero score -inf, and of equal scores the
+    first wins.
     """
     positive_finite("price", price)
-    grid = np.asarray(r_grid, dtype=float)
-    if grid.ndim != 1 or grid.size == 0:
-        raise ValueError("r_grid must be a nonempty 1-d array")
-    if grid[0] <= 0.0 or np.any(np.diff(grid) <= 0.0):
-        raise ValueError("r_grid must be strictly ascending and positive")
-    with np.errstate(divide="ignore"):
-        objective = np.log(u.value(grid)) - price * grid
-    return float(grid[int(np.argmax(objective))])
+    grid = [float(r) for r in r_grid]
+    if not grid or grid[0] <= 0.0 or any(hi <= lo for lo, hi in zip(grid, grid[1:])):
+        raise ValueError("r_grid must be nonempty, strictly ascending and positive")
+    best, best_score = grid[0], -math.inf
+    for r in grid:
+        v = u.value(r)
+        score = math.log(v) - price * r if v > 0.0 else -math.inf
+        if score > best_score:
+            best, best_score = r, score
+    return best

@@ -25,9 +25,8 @@ general formula loses bits (and at 0 divides by zero), it returns 1/r,
 which is then the slope correctly rounded.
 
 All objects are immutable, and each method has one implementation,
-free of overflow for any parameters. ``value`` is numpy code: it takes a
-float or an array of rates, so a whole grid evaluates in one call.
-``log_slope`` is the solver's inner loop and takes one float rate; its
+free of overflow for any parameters. Every method is scalar ``math``
+code that takes one float. ``log_slope`` is the solver's inner loop; its
 rounded value never increases from one double to the next, which the
 solver relies on to skip evaluations. ``estimate_rate(price)`` is a
 cheap estimate of the rate where ``log_slope`` equals ``price``, closed
@@ -41,8 +40,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-
-import numpy as np
 
 __all__ = ["SigmoidUtility", "LogUtility", "UtilityFunction", "sigmoid_from_qoe"]
 
@@ -83,15 +80,15 @@ class SigmoidUtility:
     #   r <  b:  U = e^x * (1 - e^(-ar)) / (1 + e^x)
     #   r >= b:  U = (1 - e^(-ar)) / (1 + e^(-x))
 
-    def value(self, rate):
-        """Satisfaction at ``rate`` (a float or an array); exactly 0 at rate 0 and approaching 1 as rate grows."""
-        r = np.asarray(rate, dtype=float)
-        if not np.all(r >= 0.0):
+    def value(self, rate: float) -> float:
+        """Satisfaction at ``rate`` >= 0; exactly 0 at rate 0 and approaching 1 as rate grows."""
+        if not rate >= 0.0:
             raise ValueError("rate must be >= 0")
-        x = self.a * r - self._ab
-        e = np.exp(-np.abs(x))
-        growth = -np.expm1(-self.a * r)
-        return np.where(x < 0.0, e * growth, growth) / (1.0 + e)
+        ar = self.a * rate
+        x = ar - self._ab
+        e = math.exp(-abs(x))
+        growth = -math.expm1(-ar)
+        return (e * growth if x < 0.0 else growth) / (1.0 + e)
 
     # The slope of log U equals a*m / ((1+m) * (1 - d*(1+m))) with
     # m = exp(-a(r-b)); rearranged so no intermediate overflows:
@@ -159,15 +156,14 @@ class LogUtility:
         positive_finite("r_max", self.r_max)
         if not 0.0 < self.k * self.r_max < math.inf:
             raise ValueError(f"k * r_max must be positive and finite, got k={self.k}, r_max={self.r_max}")
-        # numpy's log1p, the one ``value`` uses, so that U(r_max) is exactly 1
-        object.__setattr__(self, "_denom", float(np.log1p(self.k * self.r_max)))
+        # the log1p ``value`` uses, so that U(r_max) is exactly 1
+        object.__setattr__(self, "_denom", math.log1p(self.k * self.r_max))
 
-    def value(self, rate):
-        """Satisfaction at ``rate`` (a float or an array); exactly 0 at rate 0 and exactly 1 at r_max."""
-        r = np.asarray(rate, dtype=float)
-        if not np.all(r >= 0.0):
+    def value(self, rate: float) -> float:
+        """Satisfaction at ``rate`` >= 0; exactly 0 at rate 0 and exactly 1 at r_max."""
+        if not rate >= 0.0:
             raise ValueError("rate must be >= 0")
-        return np.log1p(self.k * r) / self._denom
+        return math.log1p(self.k * rate) / self._denom
 
     def log_slope(self, rate: float) -> float:
         """Slope of log U at ``rate`` > 0: k / ((1 + k r) * log(1 + k r))."""

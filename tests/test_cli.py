@@ -455,3 +455,12 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["run", "--config", str(cfg), "--out", str(tmp_path / "o"), "--R", "30;60"])
         assert exc.value.code == 2
+
+    def test_import_loads_no_numpy(self):
+        # the library and its CLI are plain `math` code, so starting them costs no numpy import
+        src = str(Path(cli.__file__).parents[1])
+        code = "import sys, fairalloc, fairalloc.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
+        proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"

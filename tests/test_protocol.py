@@ -67,7 +67,7 @@ class TestUserRespond:
 
     def test_bid_is_price_times_rate_exactly(self, table_utilities):
         for u in table_utilities.values():
-            for total_rate in (5.0, 60.0, 300.0):
+            for total_rate in (5.0, 60.0, 150.0):  # under each lone user's demand ceiling (Sig1: 151.8)
                 res = run_allocation([u], total_rate, AllocationConfig(max_iter=5))
                 for rec in res.trajectory:
                     assert rec.bids[0] == rec.price * rec.rates[0]
@@ -282,10 +282,14 @@ class TestRunAllocation:
         assert (res.status, res.iterations_used) == (CONVERGED, 3)
         assert res.final_price == 5.065795617824976e-11  # as before the ceiling check existed
 
-    def test_no_ceiling_when_every_slope_underflows_at_the_bracket_cap(self):
-        # both log-slopes are 0.0 at HI_CAP, so p_min is 0 and the loop runs as before
-        res = run_allocation([SigmoidUtility(a=5.0, b=10.0), SigmoidUtility(a=1.0, b=30.0)], 1e9)
-        assert (res.status, res.iterations_used) == (CONVERGED, 2)
+    @pytest.mark.parametrize("total_rate", [891.0, 1e3, 1e9])
+    def test_all_sigmoid_ceiling_at_the_lowest_price(self, total_rate):
+        # both log-slopes are 0.0 at HI_CAP, so the ceiling is the demand at the
+        # smallest positive price, the lowest a round can announce: no R above it clears
+        users = [SigmoidUtility(a=5.0, b=10.0), SigmoidUtility(a=1.0, b=30.0)]
+        with pytest.raises(ValueError, match=rf"R={total_rate}\b.*demand ceiling 890\.8000000260629\b.*\(5e-324\)"):
+            run_allocation(users, total_rate)
+        run_allocation(users, 890.0)  # just under the ceiling: runs
 
     @pytest.mark.parametrize(
         "user", [LogUtility(k=1e-30, r_max=1e30), SigmoidUtility(a=1e-30, b=10.0)], ids=["log", "sigmoid"]

@@ -11,11 +11,6 @@ from fairalloc import LogUtility, SigmoidUtility, sigmoid_from_qoe
 TINY = sys.float_info.min  # smallest normal double
 
 
-def _within_ulps(x, y, ulps=4):
-    x, y = np.asarray(x), np.asarray(y)
-    return np.all(np.abs(x - y) <= ulps * np.spacing(np.maximum(np.abs(x), np.abs(y))))
-
-
 class TestConstruction:
     def test_sigmoid_derived_constants(self):
         u = SigmoidUtility(a=5.0, b=10.0)
@@ -75,27 +70,16 @@ class TestValue:
             with pytest.raises(ValueError):
                 u.value(-1.0)
             with pytest.raises(ValueError):
-                u.value(np.array([1.0, -2.0]))
-            with pytest.raises(ValueError):
                 u.value(math.nan)
 
-    def test_array_and_scalar_paths_agree(self, table_utilities):
-        # numpy's vector transcendentals and libm may differ by an ulp or two
-        rates = np.concatenate([np.geomspace(1e-3, 1e3, 41), [0.0]])
-        for u in table_utilities.values():
-            from_array = u.value(rates)
-            from_scalars = np.array([u.value(float(r)) for r in rates])
-            assert _within_ulps(from_array, from_scalars)
-
     def test_strictly_increasing_on_table_curves(self, table_utilities):
-        rates = np.geomspace(1e-3, 1e3, 201)
+        rates = [float(r) for r in np.geomspace(1e-3, 1e3, 201)]
         for name, u in table_utilities.items():
-            grid = rates[rates <= 100.0] if name.startswith("Log") else rates
-            values = u.value(grid)
-            assert np.all(np.diff(values) >= 0.0), name
+            values = [u.value(r) for r in rates if r <= 100.0 or name.startswith("Sig")]
+            assert all(v <= w for v, w in zip(values, values[1:])), name
             # strictness fades below double resolution once the sigmoid saturates
-            live = values < 1.0 - 1e-12
-            assert np.all(np.diff(values[live]) > 0.0), name
+            live = [v for v in values if v < 1.0 - 1e-12]
+            assert all(v < w for v, w in zip(live, live[1:])), name
 
 
 class TestLogSlope:

@@ -15,15 +15,22 @@ unknown key ``config.solver.rel_tol`` (exit 2). Every output file's bytes,
 stdout, stderr and exit code are compared, so a ``.part`` file left behind
 shows up as a difference. The CLI writes every round of every
 point with ``repr``, so identical files also mean identical library
-records. Prints the first difference and exits 1 on any; exits 0 and
-prints the number of outputs compared otherwise.
+records. Every difference is printed. For a CSV file whose header, row
+count and field counts match, that is one line per column with a
+differing field: how many fields differ and the largest distance between
+two of them in ulps (the number of steps from one double to the next
+that separate them). For any other output it is the first differing
+bytes. Exits 1 on any difference; exits 0 and prints the number of
+outputs compared otherwise.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
+import struct
 import subprocess
 import sys
 import tempfile
@@ -88,6 +95,49 @@ def first_difference(base: bytes, change: bytes) -> str:
             f"(lengths {len(base)} / {len(change)})")
 
 
+def ulps(x: str, y: str) -> float:
+    """Distance in ulps between two numeric fields; inf if either is not a number."""
+    try:
+        return abs(_ordinal(float(x)) - _ordinal(float(y)))
+    except ValueError:
+        return math.inf
+
+
+def _ordinal(x: float) -> int:
+    """An integer per double, consecutive for consecutive doubles."""
+    n = struct.unpack("<q", struct.pack("<d", x))[0]
+    return n if n >= 0 else -(n & 0x7FFF_FFFF_FFFF_FFFF)
+
+
+def column_differences(base: bytes, change: bytes) -> dict[str, tuple[int, float]] | None:
+    """(fields that differ, their largest ulp distance) per CSV column that has any; None if the shapes differ."""
+    base_rows, change_rows = base.decode().splitlines(), change.decode().splitlines()
+    if len(base_rows) != len(change_rows) or base_rows[:1] != change_rows[:1]:
+        return None
+    header = base_rows[0].split(",")
+    found: dict[str, tuple[int, float]] = {}
+    for base_row, change_row in zip(base_rows[1:], change_rows[1:]):
+        base_fields, change_fields = base_row.split(","), change_row.split(",")
+        if not len(base_fields) == len(change_fields) == len(header):
+            return None
+        for column, b, c in zip(header, base_fields, change_fields):
+            if b != c:
+                count, worst = found.get(column, (0, 0))
+                found[column] = (count + 1, max(worst, ulps(b, c)))
+    return found
+
+
+def report(name: str, key: str, base: bytes, change: bytes) -> None:
+    """Print how one output differs: per CSV column if the shapes match, else its first differing bytes."""
+    columns = column_differences(base, change) if key.endswith(".csv") else None
+    if columns is None:
+        print(f"DIFFERENT {name}: {key} {first_difference(base, change)}")
+        return
+    fields = base.count(b"\n") - 1
+    for column, (count, worst) in columns.items():
+        print(f"DIFFERENT {name}: {key} column {column}: {count} of {fields} fields, at most {worst:g} ulps")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="compare this checkout's CLI output with a base's, byte by byte")
     parser.add_argument("--base", required=True, help="git ref or checkout directory to compare against")
@@ -101,19 +151,27 @@ def main(argv=None) -> int:
         except subprocess.CalledProcessError as exc:
             print(f"error: git archive {args.base} failed: {exc.stderr.decode().strip()}", file=sys.stderr)
             return 1
-        compared = 0
+        compared = different = 0
         for i, (name, cli_args) in enumerate(cases(write_populations(tmp / "inputs")).items()):
             found = {side: outputs(tree, cli_args, tmp / side / str(i)) for side, tree in trees.items()}
-            for key in sorted(found["base"].keys() | found["change"].keys()):
+            keys = sorted(found["base"].keys() | found["change"].keys())
+            differ = 0
+            for key in keys:
                 base, change = found["base"].get(key), found["change"].get(key)
+                if base == change:
+                    continue
+                differ += 1
                 if base is None or change is None:
                     print(f"DIFFERENT {name}: {key} written only by the {'base' if change is None else 'change'}")
-                    return 1
-                if base != change:
-                    print(f"DIFFERENT {name}: {key} {first_difference(base, change)}")
-                    return 1
-                compared += 1
-            print(f"identical {name}: {len(found['base'])} outputs", flush=True)
+                else:
+                    report(name, key, base, change)
+            compared += len(keys)
+            different += differ
+            print(f"{'identical' if not differ else 'checked'} {name}: {len(keys)} outputs, {differ} different",
+                  flush=True)
+    if different:
+        print(f"{different} of {compared} outputs differ from {args.base}")
+        return 1
     print(f"all {compared} outputs identical to {args.base}")
     return 0
 
