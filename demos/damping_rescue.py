@@ -40,10 +40,11 @@ print(f"  result: {found!r} (the loop only contracts up there; scarcity, not abu
 print("  is what destabilizes this population)")
 
 print("\nthe worst band at R = 20:")
-plain = run_allocation(scenario.utilities, 20.0, replace(scenario.config, decay=None))
+plain_rounds = []
+plain = run_allocation(scenario.utilities, 20.0, replace(scenario.config, decay=None), on_round=plain_rounds.append)
 print(f"  undamped: {plain.status} after {plain.iterations_used} rounds")
 print("  last rounds of the undamped run (price flips around the a=3 stretch):")
-for rec in plain.trajectory[-6:]:
+for rec in plain_rounds[-6:]:
     print(f"    n={rec.n:4d} price={rec.price:.4f} Sig2 rate={rec.rates[1]:8.4f} bid={rec.bids[1]:8.4f}")
 
 robust = run_allocation(

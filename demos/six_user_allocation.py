@@ -10,14 +10,14 @@ from fairalloc import canonical_scenario, run_allocation
 
 scenario = canonical_scenario()
 R = 60.0
-result = run_allocation(scenario.utilities, R, scenario.config)
+rounds = []
+result = run_allocation(scenario.utilities, R, scenario.config, on_round=rounds.append)
 
 ids = scenario.user_ids
 print(f"cell rate R = {R:g}, initial bids 10, delta = {scenario.config.delta}")
 print(f"\n{'n':>4} {'price':>9} " + " ".join(f"{uid:>8}" for uid in ids) + "   (rates)")
-shown = list(result.trajectory[:6]) + list(result.trajectory[-2:])
-for rec in shown:
-    if rec.n == result.trajectory[-2].n and len(result.trajectory) > 8:
+for rec in rounds[:6] + rounds[-2:]:
+    if rec.n == rounds[-2].n and len(rounds) > 8:
         print("  ...")
     rates = " ".join(f"{r:8.3f}" for r in rec.rates)
     print(f"{rec.n:4d} {rec.price:9.5f} {rates}")

@@ -13,13 +13,12 @@ Round n with outstanding bids w_i(n):
    the iteration cap.
 
 Bids start at ``initial_bid``, and round one's moves are measured from
-it. Each round is one ``IterationRecord``. ``run_allocation`` either
-returns them all or hands each to an ``on_round`` callback as soon as it
-is made and keeps only the last, so a streamed run holds one round
-however many it takes. The final rates, bids and price are the last
-round's. At a fixed point the budget clears: summing
-w_i = p*r_i and p = sum(w)/R gives sum(r_i) = R, and every non-pinned
-user equalizes its log-utility slope with the price.
+it. Each round is one ``IterationRecord``. ``run_allocation`` hands each
+to an ``on_round`` callback as soon as it is made and keeps only the
+last, so a run holds one round however many it takes. The final rates,
+bids and price are the last round's. At a fixed point the budget
+clears: summing w_i = p*r_i and p = sum(w)/R gives sum(r_i) = R, and
+every non-pinned user equalizes its log-utility slope with the price.
 
 The undamped loop does not always settle. It is the map
 F(p) = p*D(p)/R on the price, with D(p) = sum_i r_i(p) the total demand,
@@ -123,15 +122,13 @@ class IterationRecord:
 
 @dataclass(frozen=True)
 class AllocationResult:
-    """A run's status and its rounds.
+    """A run's status and its last round.
 
-    The final state is the last round's: ``final_rates``, ``final_bids``
-    and ``final_price`` read ``trajectory[-1]``, and ``iterations_used``
-    is its round number ``n`` (rounds count from 1). Without a callback
-    ``run_allocation`` keeps every round; with ``on_round``, and in every
-    ``run_sweep`` result, ``trajectory`` holds only the last round, with
-    the same status, final state and ``iterations_used``. A user pinned in
-    a round has a rate equal to the solver's ``bracket_lo`` exactly.
+    ``trajectory`` holds exactly one record, the run's last round. The
+    final state is that round's: ``final_rates``, ``final_bids`` and
+    ``final_price`` read it, and ``iterations_used`` is its round number
+    ``n`` (rounds count from 1). A user pinned in a round has a rate equal
+    to the solver's ``bracket_lo`` exactly.
     """
 
     status: str
@@ -158,15 +155,19 @@ class AllocationResult:
         return self.trajectory[-1].n
 
 
+def _discard(record) -> None:
+    """The default ``on_round``: the round is dropped."""
+
+
 def run_allocation(
-    utilities, total_rate: float, config: AllocationConfig = AllocationConfig(), on_round=None
+    utilities, total_rate: float, config: AllocationConfig = AllocationConfig(), on_round=_discard
 ) -> AllocationResult:
     """Iterate the bidding loop until the bids settle or the cap is hit.
 
     A pure function of its arguments: identical inputs give identical
-    trajectories. With ``on_round``, each round's ``IterationRecord`` is
-    passed to ``on_round(record)`` as soon as it is made, and the result's
-    ``trajectory`` holds only the last round; without it, every round.
+    rounds. Each round's ``IterationRecord`` is passed to
+    ``on_round(record)`` as soon as it is made; the result keeps only the
+    last. To keep every round, collect them: ``on_round=rounds.append``.
 
     Two cell rates have no equilibrium and are rejected up front. One below
     the users' pinned floor (each user holds at least ``bracket_lo``), and
@@ -202,8 +203,6 @@ def run_allocation(
             )
     decay = config.decay
     bids = (config.initial_bid,) * len(utilities)
-    kept: list[IterationRecord] = []
-    emit = kept.append if on_round is None else on_round
     status = ITERATION_CAP
     for n in range(1, config.max_iter + 1):
         price = sum(bids) / total_rate
@@ -217,10 +216,10 @@ def run_allocation(
                 for w, old in zip(new_bids, bids)
             ])
         record = IterationRecord(n, price, new_bids, rates)
-        emit(record)
+        on_round(record)
         moved = max(abs(w - w_prev) for w, w_prev in zip(new_bids, bids))
         bids = new_bids
         if moved <= config.delta:
             status = CONVERGED
             break
-    return AllocationResult(status, tuple(kept) if on_round is None else (record,))
+    return AllocationResult(status, (record,))

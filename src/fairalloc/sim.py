@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from .protocol import AllocationConfig, AllocationResult, run_allocation
+from .protocol import AllocationConfig, AllocationResult, _discard, run_allocation
 from .utility import LogUtility, SigmoidUtility, UtilityFunction, positive_finite
 
 __all__ = [
@@ -112,20 +112,14 @@ def canonical_scenario(r_values=None, config: AllocationConfig | None = None) ->
     )
 
 
-def _discard(record) -> None:
-    pass
-
-
-def run_sweep(scenario: Scenario, *, on_round=None) -> SweepResult:
+def run_sweep(scenario: Scenario, *, on_round=_discard) -> SweepResult:
     """One independent allocation per rate value, in ascending order.
 
-    Each point's result keeps only its last round: its ``status``,
-    ``final_*`` and ``iterations_used`` are those of the full run, and
-    its ``trajectory`` is that run's last record. No point stores its
-    rounds: each is passed to ``on_round(record)`` as soon as it is made
-    (point after point, each point's rounds counting from ``n = 1``), or
-    dropped without ``on_round``. So a sweep holds one record per point
-    however many rounds the points take.
+    Each point's result is the one ``run_allocation`` returns for that
+    rate alone, so it keeps only its last round. Every round is passed to
+    ``on_round(record)`` as soon as it is made, point after point, each
+    point's rounds counting from ``n = 1``. So a sweep holds one record
+    per point however many rounds the points take.
 
     A failure of the allocation itself (a rate below the pinned floor or
     above the demand ceiling, or a ``NoRootError``) is raised as a
@@ -144,7 +138,7 @@ def run_sweep(scenario: Scenario, *, on_round=None) -> SweepResult:
 
     for r in scenario.r_values:
         try:
-            results[r] = run_allocation(scenario.utilities, r, scenario.config, relay if on_round else _discard)
+            results[r] = run_allocation(scenario.utilities, r, scenario.config, relay)
         except (ValueError, RuntimeError) as exc:
             if raised:
                 raise

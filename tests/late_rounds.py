@@ -4,7 +4,9 @@ A settled run is still in its late rounds and a cycling one is not. The
 undamped loop is the map F(p) = p*D(p)/R on the price, with D(p) the
 total demand; its only fixed point is the equilibrium price p*, and its
 slope there is the loop gain g = 1 + p*D'(p*)/R. The helpers below find
-p* and g without running the bidding loop.
+p* and g without running the bidding loop. The late-round helpers take
+every round of one run, in order, as collected by
+``run_allocation(..., on_round=rounds.append)``.
 """
 
 import math
@@ -12,21 +14,20 @@ import math
 from fairalloc import solve_user_rate
 
 
-def late_window(result) -> int:
+def late_window(rounds) -> int:
     """Number of round-to-round steps in the last tenth of a run (at least one)."""
-    return max(1, (len(result.trajectory) - 1) // 10)
+    return max(1, (len(rounds) - 1) // 10)
 
 
-def late_step(result) -> float:
+def late_step(rounds) -> float:
     """Largest max-norm bid step over the last tenth of the rounds; 0.0 for a one-round run."""
-    traj = result.trajectory
-    steps = [max(abs(w1 - w0) for w0, w1 in zip(a.bids, b.bids)) for a, b in zip(traj, traj[1:])]
-    return max(steps[-late_window(result):], default=0.0)
+    steps = [max(abs(w1 - w0) for w0, w1 in zip(a.bids, b.bids)) for a, b in zip(rounds, rounds[1:])]
+    return max(steps[-late_window(rounds):], default=0.0)
 
 
-def late_prices(result) -> list[float]:
+def late_prices(rounds) -> list[float]:
     """Announced prices over the last tenth of the rounds (``late_step``'s window)."""
-    return [rec.price for rec in result.trajectory[-late_window(result):]]
+    return [rec.price for rec in rounds[-late_window(rounds):]]
 
 
 def demand(sc, price: float) -> float:
@@ -60,10 +61,10 @@ def loop_gain(sc, total_rate: float, price: float) -> float:
     return 1.0 + price * slope / total_rate
 
 
-def straddles(result, price: float) -> bool:
+def straddles(rounds, price: float) -> bool:
     """Whether the late prices lie on both sides of ``price``.
 
     F(p) > p exactly when p < p*, so any cycle of F has points on both sides of p*.
     """
-    late = late_prices(result)
+    late = late_prices(rounds)
     return min(late) < price < max(late)

@@ -142,7 +142,8 @@ def test_04_fixed_point_budget_identity():
     rows = []
     ok = True
     for R in (20.0, 30.0, 40.0, 50.0, 60.0):
-        res = run_allocation(sc.utilities, R, replace(sc.config, decay=None))
+        rounds = []
+        res = run_allocation(sc.utilities, R, replace(sc.config, decay=None), rounds.append)
         p_star = equilibrium_price(sc, R)
         g = loop_gain(sc, R, p_star)
         ok &= res.converged == (abs(g) < 1.0)
@@ -155,11 +156,11 @@ def test_04_fixed_point_budget_identity():
                 f"|sum r - R|={gap:.2e} <= {bound:.2e}"
             )
         else:
-            late = late_prices(res)
-            ok &= straddles(res, p_star)
+            late = late_prices(rounds)
+            ok &= straddles(rounds, p_star)
             rows.append(
                 f"R={R:g}: g={g:.3g}, iteration cap after {res.iterations_used} rounds, "
-                f"late bid oscillation {late_step(res):.2f}, late prices "
+                f"late bid oscillation {late_step(rounds):.2f}, late prices "
                 f"{min(late):.4g}..{max(late):.4g} round p*={p_star:.4g}"
             )
     _report(
@@ -209,12 +210,13 @@ def test_06_robustness_demonstration():
         clause2 = False
         clause2_msg = "search R=5..100: every undamped run converged"
     else:
-        plain = run_allocation(sc.utilities, cycling, plain_cfg)
+        plain_rounds = []
+        plain = run_allocation(sc.utilities, cycling, plain_cfg, plain_rounds.append)
         g = loop_gain(sc, cycling, equilibrium_price(sc, cycling))
-        clause2 = (not plain.converged) and late_step(plain) > sc.config.delta and abs(g) > 1.0
+        clause2 = (not plain.converged) and late_step(plain_rounds) > sc.config.delta and abs(g) > 1.0
         clause2_msg = (
             f"search R=5..100 finds R={cycling:g}: plain cap with late oscillation "
-            f"{late_step(plain):.2f}, g={g:.3g}"
+            f"{late_step(plain_rounds):.2f}, g={g:.3g}"
         )
 
     # damping rescues a cycling point only where it reaches the allocation;
@@ -252,8 +254,9 @@ def test_07_price_monotonicity():
     # price: monotonicity is asserted over the converged points, and each
     # capped point's cycle must surround its equilibrium price instead
     sc = canonical_scenario()
-    # full runs, because the late prices of capped points are read below
-    results = {R: run_allocation(sc.utilities, R, sc.config) for R in sc.r_values}
+    # every round is collected, because the late prices of capped points are read below
+    rounds = {R: [] for R in sc.r_values}
+    results = {R: run_allocation(sc.utilities, R, sc.config, rounds[R].append) for R in sc.r_values}
     problems = []
     converged = []
     for R, res in results.items():
@@ -263,8 +266,8 @@ def test_07_price_monotonicity():
             problems.append(f"R={R:g}: {res.status} with g={g:.3g}")
         if res.converged:
             converged.append((R, res.final_price))
-        elif not straddles(res, p_star):
-            late = late_prices(res)
+        elif not straddles(rounds[R], p_star):
+            late = late_prices(rounds[R])
             problems.append(f"R={R:g}: late prices {min(late):.4g}..{max(late):.4g} miss p*={p_star:.4g}")
     problems += [
         f"R={a[0]:g}->{b[0]:g}: converged price {a[1]:.4g}->{b[1]:.4g}"

@@ -67,14 +67,15 @@ class TestRun:
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
         scenario = canonical_scenario(r_values=(r,), config=config)
-        result = run_allocation(scenario.utilities, r, config)
+        rounds = []
+        result = run_allocation(scenario.utilities, r, config, rounds.append)
         assert result.status == status
 
         _, rows = read_csv(out / f"traj_R{int(r)}.csv")
         # the text itself, not just its value: each number is its shortest round-trip repr
         expected = [
             [str(rec.n), repr(rec.price), uid, repr(bid), repr(rate)]
-            for rec in result.trajectory
+            for rec in rounds
             for uid, bid, rate in zip(scenario.user_ids, rec.bids, rec.rates)
         ]
         assert rows == expected

@@ -69,7 +69,8 @@ def test_stability_claims_hold_on_seeded_populations():
             (total_rate,) = sc.r_values
             p_star = equilibrium_price(sc, total_rate)
             g = loop_gain(sc, total_rate, p_star)
-            res = run_allocation(sc.utilities, total_rate, sc.config)
+            rounds = []
+            res = run_allocation(sc.utilities, total_rate, sc.config, rounds.append)
             statuses.append(res.status)
             case = f"seed {seed} at {factor} x Σb (n={len(sc.users)}, g={g:.3g})"
             if res.converged:
@@ -77,7 +78,7 @@ def test_stability_claims_hold_on_seeded_populations():
                 bound = len(sc.users) * sc.config.delta / res.final_price
                 if gap > bound:
                     problems.append(f"{case}: converged with |Σr - R| = {gap:.3g} > {bound:.3g}")
-            elif not straddles(res, p_star):
+            elif not straddles(rounds, p_star):
                 problems.append(f"{case}: late prices miss p* = {p_star:.4g}")
             if abs(g) > 1.0 and res.converged:
                 problems.append(f"{case}: converged although |g| > 1")

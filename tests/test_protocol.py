@@ -37,9 +37,10 @@ class TestShadowPrice:
 
     def test_single_user_identity(self):
         # p * R recovers the lone bid of the round before
-        res = run_allocation([LogUtility(k=3.0, r_max=100.0)], 41.0)
-        assert len(res.trajectory) > 2
-        for prev, rec in zip(res.trajectory, res.trajectory[1:]):
+        rounds = []
+        run_allocation([LogUtility(k=3.0, r_max=100.0)], 41.0, on_round=rounds.append)
+        assert len(rounds) > 2
+        for prev, rec in zip(rounds, rounds[1:]):
             assert rec.price * 41.0 == pytest.approx(prev.bids[0], rel=1e-15)
 
     @pytest.mark.parametrize("rate", [0.0, -5.0, math.inf, math.nan])
@@ -68,8 +69,9 @@ class TestUserRespond:
     def test_bid_is_price_times_rate_exactly(self, table_utilities):
         for u in table_utilities.values():
             for total_rate in (5.0, 60.0, 150.0):  # under each lone user's demand ceiling (Sig1: 151.8)
-                res = run_allocation([u], total_rate, AllocationConfig(max_iter=5))
-                for rec in res.trajectory:
+                rounds = []
+                run_allocation([u], total_rate, AllocationConfig(max_iter=5), rounds.append)
+                for rec in rounds:
                     assert rec.bids[0] == rec.price * rec.rates[0]
 
 
@@ -106,7 +108,9 @@ class TestApplyDecay:
         # an envelope that never binds leaves the whole run unchanged
         users = canonical_scenario().utilities
         wide = AllocationConfig(decay=ExponentialDecay(l1=1e9, l2=1e9))
-        assert run_allocation(users, 60.0, wide) == run_allocation(users, 60.0)
+        damped, plain = [], []
+        assert run_allocation(users, 60.0, wide, damped.append) == run_allocation(users, 60.0, on_round=plain.append)
+        assert damped == plain
 
     def test_rational_envelope_shrinks_as_one_over_n(self):
         pol = RationalDecay(l3=6.0)
@@ -134,16 +138,18 @@ class TestCheckConvergence:
     """The loop stops at the first round in which no bid moved by more than delta."""
 
     def test_within_threshold(self):
-        res = run_allocation(canonical_scenario().utilities, 60.0)
+        rounds = []
+        res = run_allocation(canonical_scenario().utilities, 60.0, on_round=rounds.append)
         assert res.converged
-        prev = res.trajectory[-2].bids
+        prev = rounds[-2].bids
         assert max_move(res.final_bids, prev) <= 0.001
 
     def test_single_coordinate_exceeding(self):
         # every earlier round had a bid that moved by more than delta
-        res = run_allocation(canonical_scenario().utilities, 60.0)
+        rounds = []
+        run_allocation(canonical_scenario().utilities, 60.0, on_round=rounds.append)
         prev = (10.0,) * 6
-        for rec in res.trajectory[:-1]:
+        for rec in rounds[:-1]:
             assert max_move(rec.bids, prev) > 0.001
             prev = rec.bids
 
@@ -184,12 +190,13 @@ class TestRunAllocation:
         # stretch; the marginal user's response swings across it and the
         # undamped bids cycle forever (late prices repeat every 3 rounds).
         sc = canonical_scenario()
-        res = run_allocation(sc.utilities, 50.0)
+        rounds = []
+        res = run_allocation(sc.utilities, 50.0, on_round=rounds.append)
         assert res.status == ITERATION_CAP
         assert res.iterations_used == 1000
         last_steps = [
             max(abs(w1 - w0) for w0, w1 in zip(a.bids, b.bids))
-            for a, b in zip(res.trajectory[-10:], res.trajectory[-9:])
+            for a, b in zip(rounds[-10:], rounds[-9:])
         ]
         assert max(last_steps) > 0.001
 
@@ -205,8 +212,9 @@ class TestRunAllocation:
 
     def test_records_are_price_consistent_without_decay(self):
         sc = canonical_scenario()
-        res = run_allocation(sc.utilities, 60.0)
-        for rec in res.trajectory:
+        rounds = []
+        run_allocation(sc.utilities, 60.0, on_round=rounds.append)
+        for rec in rounds:
             assert rec.n >= 1
             assert rec.price > 0.0
             assert len(rec.bids) == len(rec.rates) == 6
@@ -216,9 +224,10 @@ class TestRunAllocation:
     def test_decay_envelope_bounds_every_step(self):
         sc = canonical_scenario()
         pol = ExponentialDecay(l1=5.0, l2=10.0)
-        res = run_allocation(sc.utilities, 50.0, AllocationConfig(decay=pol))
+        rounds = []
+        run_allocation(sc.utilities, 50.0, AllocationConfig(decay=pol), rounds.append)
         prev = (10.0,) * 6
-        for rec in res.trajectory:
+        for rec in rounds:
             limit = pol.step_limit(rec.n) * (1.0 + 1e-12) + 1e-12
             assert all(abs(w - w0) <= limit for w, w0 in zip(rec.bids, prev))
             prev = rec.bids
@@ -234,31 +243,38 @@ class TestRunAllocation:
 
     @pytest.mark.parametrize("decay", [None, ExponentialDecay(l1=5.0, l2=10.0)])
     def test_every_price_is_the_previous_bid_sum_over_the_rate(self, decay):
-        res = run_allocation(canonical_scenario().utilities, 50.0, AllocationConfig(decay=decay))
-        assert res.trajectory[0].price == 6 * 10.0 / 50.0
-        for prev, rec in zip(res.trajectory, res.trajectory[1:]):
+        rounds = []
+        run_allocation(canonical_scenario().utilities, 50.0, AllocationConfig(decay=decay), rounds.append)
+        assert rounds[0].price == 6 * 10.0 / 50.0
+        for prev, rec in zip(rounds, rounds[1:]):
             assert rec.price * 50.0 == pytest.approx(sum(prev.bids), rel=1e-15)
 
     def test_trajectory_covers_every_round(self):
-        res = run_allocation([LogUtility(k=3.0, r_max=100.0)], 10.0)
-        assert [rec.n for rec in res.trajectory] == list(range(1, res.iterations_used + 1))
-        assert res.final_rates == res.trajectory[-1].rates
-        assert res.final_bids == res.trajectory[-1].bids
-        assert res.final_price == res.trajectory[-1].price
+        # every round is streamed in order; the result keeps only the last
+        rounds = []
+        res = run_allocation([LogUtility(k=3.0, r_max=100.0)], 10.0, on_round=rounds.append)
+        assert [rec.n for rec in rounds] == list(range(1, res.iterations_used + 1))
+        assert res.trajectory == (rounds[-1],)
+        assert res.final_rates == rounds[-1].rates
+        assert res.final_bids == rounds[-1].bids
+        assert res.final_price == rounds[-1].price
 
     def test_deterministic_trajectories(self):
         sc = canonical_scenario()
-        first = run_allocation(sc.utilities, 50.0)
-        second = run_allocation(sc.utilities, 50.0)
+        rounds = [], []
+        first = run_allocation(sc.utilities, 50.0, on_round=rounds[0].append)
+        second = run_allocation(sc.utilities, 50.0, on_round=rounds[1].append)
         assert first == second
+        assert rounds[0] == rounds[1]
 
     def test_clamped_users_reported(self):
         # a tiny cell prices both users out of the market in round one;
         # a pinned user reports bracket_lo exactly
         users = [LogUtility(k=15.0, r_max=100.0), LogUtility(k=0.5, r_max=100.0)]
-        res = run_allocation(users, 0.01)
+        rounds = []
+        run_allocation(users, 0.01, on_round=rounds.append)
         lo = SolverConfig().bracket_lo
-        assert res.trajectory[0].rates == (lo, lo)
+        assert rounds[0].rates == (lo, lo)
 
     def test_rejects_empty_population(self):
         with pytest.raises(ValueError):

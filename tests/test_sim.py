@@ -88,26 +88,49 @@ class TestRunSweep:
 
     def test_points_are_independent(self):
         sc = canonical_scenario(r_values=[30.0, 60.0])
-        rounds, alone = [], []
+        rounds, alone, first_rounds, direct_rounds = [], [], [], []
         sweep = run_sweep(sc, on_round=rounds.append)
         kept = run_sweep(canonical_scenario(r_values=[60.0]), on_round=alone.append).results[60.0]
-        first = run_allocation(sc.utilities, 30.0, sc.config)
-        direct = run_allocation(sc.utilities, 60.0, sc.config)
+        run_allocation(sc.utilities, 30.0, sc.config, first_rounds.append)
+        direct = run_allocation(sc.utilities, 60.0, sc.config, direct_rounds.append)
         # the sweep hands over the 30 point's rounds and then exactly the rounds the 60 point makes alone
-        assert tuple(rounds) == first.trajectory + direct.trajectory
-        assert tuple(alone) == direct.trajectory
-        assert sweep.results[60.0] == kept == replace(direct, trajectory=direct.trajectory[-1:])
+        assert rounds == first_rounds + direct_rounds
+        assert alone == direct_rounds
+        assert sweep.results[60.0] == kept == direct
 
     @pytest.mark.parametrize("r", [20.0, 60.0], ids=["capped", "converged"])
     def test_keeps_each_points_last_round_unless_asked(self, r):
         sc = canonical_scenario(r_values=[r])
-        full = run_allocation(sc.utilities, r, sc.config)
-        rounds = []
+        full_rounds, rounds = [], []
+        full = run_allocation(sc.utilities, r, sc.config, full_rounds.append)
         streamed = run_sweep(sc, on_round=rounds.append).results[r]
-        assert tuple(rounds) == full.trajectory
+        assert rounds == full_rounds
         kept = run_sweep(sc).results[r]
-        assert kept == streamed == replace(full, trajectory=full.trajectory[-1:])
-        assert kept.iterations_used == full.iterations_used == len(full.trajectory) > 1
+        assert kept == streamed == full
+        assert full.trajectory == (full_rounds[-1],)
+        assert kept.iterations_used == full.iterations_used == len(full_rounds) > 1
+
+    @pytest.mark.parametrize("decay", [None, ExponentialDecay(l1=5.0, l2=10.0)], ids=["plain", "damped"])
+    def test_every_point_is_its_lone_allocation(self, decay):
+        # the canonical sweep holds converged and capped points, plain and damped
+        sc = canonical_scenario(config=AllocationConfig(decay=decay))
+        swept = []
+
+        def collect_by_point(record):
+            if record.n == 1:
+                swept.append([])
+            swept[-1].append(record)
+
+        kept = run_sweep(sc).results
+        streamed = run_sweep(sc, on_round=collect_by_point).results
+        assert len(swept) == len(sc.r_values)
+        for r, sweep_rounds in zip(sc.r_values, swept):
+            rounds = []
+            direct = run_allocation(sc.utilities, r, sc.config, rounds.append)
+            assert kept[r] == streamed[r] == direct == run_allocation(sc.utilities, r, sc.config)
+            assert sweep_rounds == rounds
+            assert direct.trajectory == (rounds[-1],)
+            assert direct.iterations_used == len(rounds)
 
     def test_memory_follows_one_point_not_the_sweep(self):
         # Every point below cycles to the cap, so each runs max_iter rounds,
@@ -141,20 +164,33 @@ class TestRunSweep:
 
     def test_memory_stays_flat_as_rounds_grow(self):
         # R = 5 cycles to the cap, so the point runs exactly max_iter rounds.
-        # A point that stored its rounds before cutting them peaked at 14x
-        # from 100 to 1000 rounds; streamed, the peak holds one round (0.94x).
+        # A sweep point that stored its rounds before cutting them peaked at
+        # 14x from 100 to 1000 rounds; streamed, the peak holds one round
+        # (0.94x). A lone run_allocation that kept every round without a
+        # callback peaked at 11-15x (42 KB to 455-614 KB); one that drops
+        # them peaks at about 1.4 KB either way (1.01x), where a few objects
+        # more move the ratio, hence its looser bound.
         configs = {n: AllocationConfig(max_iter=n) for n in (100, 1000)}
-        run_sweep(canonical_scenario(r_values=[5.0], config=configs[100]))  # one-time allocations stay out of the peaks
-        peaks = {}
-        for n, config in configs.items():
-            tracemalloc.start()
-            try:
-                result = run_sweep(canonical_scenario(r_values=[5.0], config=config)).results[5.0]
-                peaks[n] = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert (result.status, result.iterations_used) == (ITERATION_CAP, n)
-        assert peaks[1000] <= 1.2 * peaks[100]
+        utilities = canonical_scenario().utilities
+
+        def sweep(config):
+            return run_sweep(canonical_scenario(r_values=[5.0], config=config)).results[5.0]
+
+        def allocation(config):
+            return run_allocation(utilities, 5.0, config)
+
+        for run, bound in ((sweep, 1.2), (allocation, 2.0)):
+            run(configs[100])  # one-time allocations stay out of the peaks
+            peaks = {}
+            for n, config in configs.items():
+                tracemalloc.start()
+                try:
+                    result = run(config)
+                    peaks[n] = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert (result.status, result.iterations_used) == (ITERATION_CAP, n)
+            assert peaks[1000] <= bound * peaks[100]
 
     def test_preserves_rate_order(self):
         sweep = run_sweep(canonical_scenario(r_values=[30.0, 60.0, 65.0]))
@@ -182,11 +218,13 @@ class TestRunSweep:
 
 
 def _plain_and_damped(sc, total_rate):
-    plain = run_allocation(sc.utilities, total_rate, replace(sc.config, decay=None))
+    """The undamped and the damped run at ``total_rate``, and every round of the undamped one."""
+    plain_rounds = []
+    plain = run_allocation(sc.utilities, total_rate, replace(sc.config, decay=None), plain_rounds.append)
     damped = run_allocation(
         sc.utilities, total_rate, replace(sc.config, decay=ExponentialDecay(l1=5.0, l2=10.0))
     )
-    return plain, damped
+    return plain, plain_rounds, damped
 
 
 class TestFluctuationProbe:
@@ -195,16 +233,16 @@ class TestFluctuationProbe:
         # undamped loop cycles to the cap. The damped run reports converged, but
         # only because the envelope froze the bids (after 86 rounds, with
         # |sum(r) - R| ~ 4.7), not because it reached the allocation.
-        plain, damped = _plain_and_damped(canonical_scenario(), 20.0)
+        plain, plain_rounds, damped = _plain_and_damped(canonical_scenario(), 20.0)
         assert not plain.converged
         assert damped.converged
-        assert late_step(plain) > 0.001
+        assert late_step(plain_rounds) > 0.001
 
     def test_mutually_convergent_point_reaches_the_same_rates(self):
-        plain, damped = _plain_and_damped(canonical_scenario(), 30.0)
+        plain, plain_rounds, damped = _plain_and_damped(canonical_scenario(), 30.0)
         assert plain.converged and damped.converged
         # residual motion just before settling, nowhere near cycling amplitude
-        assert late_step(plain) <= 10 * 0.001
+        assert late_step(plain_rounds) <= 10 * 0.001
         for r_plain, r_damped in zip(plain.final_rates, damped.final_rates):
             assert abs(r_plain - r_damped) <= 10 * 0.001
 

@@ -1,4 +1,4 @@
-"""Check that this checkout's CLI writes the same bytes as a base checkout's.
+"""Check that this checkout's CLI and demos write the same bytes as a base checkout's.
 
 Usage: python3 tools/same_output.py --base <git-ref or dir>
 
@@ -15,18 +15,21 @@ unknown key ``config.solver.rel_tol`` (exit 2). Every output file's bytes,
 stdout, stderr and exit code are compared, so a ``.part`` file left behind
 shows up as a difference. The CLI writes every round of every
 point with ``repr``, so identical files also mean identical library
-records. Every difference is printed. For a CSV file whose header, row
-count and field counts match, that is one line per column with a
-differing field: how many fields differ and the largest distance between
-two of them in ulps (the number of steps from one double to the next
-that separate them). For any other output it is the first differing
-bytes. Exits 1 on any difference; exits 0 and prints the number of
-outputs compared otherwise.
+records. Each script in this checkout's ``demos/`` also runs in both
+trees, as ``python <tree>/demos/<name>`` with ``PYTHONPATH=<tree>/src``,
+and its stdout and exit code are compared. Every difference is printed.
+For a CSV file whose header, row count and field counts match, that is
+one line per column with a differing field: how many fields differ and
+the largest distance between two of them in ulps (the number of steps
+from one double to the next that separate them). For any other output
+it is the first differing bytes. Exits 1 on any difference; exits 0 and
+prints the number of outputs compared otherwise.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -72,20 +75,33 @@ def cases(populations: dict[str, Path]) -> dict[str, list[str]]:
     }
 
 
-def outputs(tree: Path, args: list[str], workdir: Path) -> dict[str, bytes]:
-    """Run the CLI of ``tree`` in ``workdir``; return exit code, streams and every file it wrote."""
+def python(tree: Path, args: list[str], workdir: Path) -> subprocess.CompletedProcess:
+    """Run ``python args`` in a new ``workdir`` against the fairalloc package of ``tree``."""
     src = tree / "src"
     if not (src / "fairalloc" / "cli.py").is_file():
         raise FileNotFoundError(f"no fairalloc package under {src}")
     workdir.mkdir(parents=True)
     env = {**os.environ, "PYTHONPATH": str(src)}
-    done = subprocess.run([sys.executable, "-m", "fairalloc.cli", *args], cwd=workdir, env=env,
-                          capture_output=True)
+    return subprocess.run([sys.executable, *args], cwd=workdir, env=env, capture_output=True)
+
+
+def outputs(tree: Path, workdir: Path, args: list[str]) -> dict[str, bytes]:
+    """Run the CLI of ``tree`` in ``workdir``; return exit code, streams and every file it wrote."""
+    done = python(tree, ["-m", "fairalloc.cli", *args], workdir)
     found = {"exit code": str(done.returncode).encode(), "stdout": done.stdout, "stderr": done.stderr}
     for path in sorted(workdir.rglob("*")):
         if path.is_file():
             found[str(path.relative_to(workdir))] = path.read_bytes()
     return found
+
+
+def demo_outputs(tree: Path, workdir: Path, name: str) -> dict[str, bytes]:
+    """Run the demo ``name`` of ``tree`` in ``workdir``; return its exit code and stdout.
+
+    Its stderr is left out: a traceback names the tree's own paths.
+    """
+    done = python(tree, [str(tree / "demos" / name)], workdir)
+    return {"exit code": str(done.returncode).encode(), "stdout": done.stdout}
 
 
 def first_difference(base: bytes, change: bytes) -> str:
@@ -139,7 +155,7 @@ def report(name: str, key: str, base: bytes, change: bytes) -> None:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description="compare this checkout's CLI output with a base's, byte by byte")
+    parser = argparse.ArgumentParser(description="compare this checkout's CLI and demo output with a base's, byte by byte")
     parser.add_argument("--base", required=True, help="git ref or checkout directory to compare against")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
@@ -151,9 +167,13 @@ def main(argv=None) -> int:
         except subprocess.CalledProcessError as exc:
             print(f"error: git archive {args.base} failed: {exc.stderr.decode().strip()}", file=sys.stderr)
             return 1
+        runs = {name: functools.partial(outputs, args=cli_args)
+                for name, cli_args in cases(write_populations(tmp / "inputs")).items()}
+        for demo in sorted(p.name for p in (ROOT / "demos").glob("*.py")):
+            runs[f"demo {demo}"] = functools.partial(demo_outputs, name=demo)
         compared = different = 0
-        for i, (name, cli_args) in enumerate(cases(write_populations(tmp / "inputs")).items()):
-            found = {side: outputs(tree, cli_args, tmp / side / str(i)) for side, tree in trees.items()}
+        for i, (name, run) in enumerate(runs.items()):
+            found = {side: run(tree, tmp / side / str(i)) for side, tree in trees.items()}
             keys = sorted(found["base"].keys() | found["change"].keys())
             differ = 0
             for key in keys:
