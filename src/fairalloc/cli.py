@@ -11,12 +11,17 @@ without loss. The subcommands only raise; ``main`` prints each error as
 config, usage or file problem (a ``ValueError`` or ``OSError``; ``run``
 and ``curves`` share one setup that loads the scenario, applies ``--R``
 and makes the output directory before any run, so an unusable config or
-``--out`` fails at once), 3 when an allocation run fails (the message
-names the rate value). ``run`` writes each round of a rate point to that
-point's trajectory as soon as the round is made, so no run holds more than
-one round; every CSV is written under a temporary name and renamed once it
-is complete. A failure therefore leaves the earlier points' complete
-``traj_R*.csv`` files, nothing of the failing point and no ``summary.csv``.
+``--out`` fails at once), 3 when an allocation run fails. ``run`` runs
+one rate point per ``run_sweep`` call, which passes every failure on
+unchanged, so it names the failing rate itself: ``error: allocation
+failed at R=...: ...``. Its CSV writer can raise only ``OSError`` (the
+scenario refuses user ids that UTF-8 cannot encode), so a point's
+``ValueError`` or ``RuntimeError`` is the allocation's. ``run`` writes
+each round of a rate point to that point's trajectory as soon as the
+round is made, so no run holds more than one round; every CSV is
+written under a temporary name and renamed once it is complete. A
+failure therefore leaves the earlier points' complete ``traj_R*.csv``
+files, nothing of the failing point and no ``summary.csv``.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .scenario_io import load_scenario
-from .sim import SweepError, run_sweep
+from .sim import run_sweep
 from .utility import sigmoid_from_qoe
 
 __all__ = ["main"]
@@ -143,16 +148,22 @@ def main(argv=None) -> int:
         out.mkdir(parents=True, exist_ok=True)
         if args.command == "run":
             # points run one at a time in ascending order; summary.csv waits for the last
-            summary = [line for r in scenario.r_values for line in _run_point(scenario, r, out)]
+            summary = []
+            for r in scenario.r_values:
+                try:
+                    summary += _run_point(scenario, r, out)
+                except (ValueError, RuntimeError) as exc:  # the allocation's; the writer raises only OSError
+                    print(f"error: allocation failed at R={r!r}: {exc}", file=sys.stderr)
+                    return 3
             with _write_csv(out / "summary.csv",
                             "R,user_id,final_rate,final_utility,final_price,iterations,status") as f:
                 f.writelines(summary)
         else:
             with _write_csv(out / "curves.csv", "r,user_id,utility,dlogU") as f:
                 f.writelines(_curve_lines(scenario))
-    except (SweepError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3 if isinstance(exc, SweepError) else 2
+        return 2
     return 0
 
 

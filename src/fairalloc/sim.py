@@ -8,7 +8,9 @@ surrogate); an id of any other type is refused, not converted. Scenario
 is the only place these rules are checked, for scenario files too, so
 every Scenario round-trips through its file form.
 Runs are independent per rate value (no warm starting), so any single
-point of a sweep can be reproduced in isolation.
+point of a sweep can be reproduced in isolation. A sweep adds nothing to
+a failure: whatever a point's run or its round callback raises ends the
+sweep as it is.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from .utility import LogUtility, SigmoidUtility, UtilityFunction, positive_finit
 __all__ = [
     "Scenario",
     "SweepResult",
-    "SweepError",
     "canonical_scenario",
     "run_sweep",
     "find_nonconvergent_rate",
@@ -37,10 +38,6 @@ def csv_safe(text) -> bool:
     return isinstance(text, str) and bool(text) and not any(
         ch in ',"\r\n' or "\ud800" <= ch <= "\udfff" for ch in text
     )
-
-
-class SweepError(RuntimeError):
-    """An allocation inside a sweep failed; the message names the rate value."""
 
 
 @dataclass(frozen=True)
@@ -121,29 +118,12 @@ def run_sweep(scenario: Scenario, *, on_round=_discard) -> SweepResult:
     point's rounds counting from ``n = 1``. So a sweep holds one record
     per point however many rounds the points take.
 
-    A failure of the allocation itself (a rate below the pinned floor or
-    above the demand ceiling, or a ``NoRootError``) is raised as a
-    ``SweepError`` that names the rate. Whatever ``on_round`` raises is
-    passed on unchanged and ends the sweep.
+    Whatever ``run_allocation`` or ``on_round`` raises is passed on
+    unchanged and ends the sweep; a caller that wants the failing rate
+    named runs one point per call, as the CLI does.
     """
-    results: dict[float, AllocationResult] = {}
-    raised = []  # what on_round raised, so it is not taken for an allocation failure
-
-    def relay(record):
-        try:
-            on_round(record)
-        except BaseException as exc:
-            raised.append(exc)
-            raise
-
-    for r in scenario.r_values:
-        try:
-            results[r] = run_allocation(scenario.utilities, r, scenario.config, relay)
-        except (ValueError, RuntimeError) as exc:
-            if raised:
-                raise
-            raise SweepError(f"allocation failed at R={r!r}: {exc}") from exc
-    return SweepResult(results)
+    return SweepResult({r: run_allocation(scenario.utilities, r, scenario.config, on_round)
+                        for r in scenario.r_values})
 
 
 def find_nonconvergent_rate(

@@ -10,7 +10,6 @@ import pytest
 from fairalloc import (
     AllocationConfig,
     ExponentialDecay,
-    SweepError,
     canonical_scenario,
     cli,
     run_allocation,
@@ -323,7 +322,20 @@ class TestRun:
         assert "R=1e+300" in err and "demand ceiling 2781716593." in err
         assert sorted(p.name for p in out.iterdir()) == ["traj_R60.csv"]
 
-    def test_a_point_that_fails_mid_run_leaves_no_partial_file(self, tmp_path, capsys, monkeypatch):
+    def test_a_round_priced_too_low_exits_3_mid_run(self, tmp_path, capsys):
+        # tiny initial bids price R = 1.39e9's first round below every log user's slope at the bracket cap
+        cfg = write_config(tmp_path, config=AllocationConfig(initial_bid=0.001))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out), "--R", "60,1.39e9"]) == 3
+        assert capsys.readouterr().err.startswith(
+            "error: allocation failed at R=1390000000.0: "
+            "log-slope still above price 4.316546762589928e-12 at rate 1000000000.0; "
+        )
+        assert sorted(p.name for p in out.iterdir()) == ["traj_R60.csv"]
+        assert len((out / "traj_R60.csv").read_text().splitlines()) == 325
+
+    @pytest.mark.parametrize("error, code", [(RuntimeError, 3), (OSError, 2)])
+    def test_a_point_that_fails_mid_run_leaves_no_partial_file(self, tmp_path, capsys, monkeypatch, error, code):
         cfg = write_config(tmp_path, r_values=(30.0, 60.0))
         out = tmp_path / "out"
         real_run_sweep = cli.run_sweep
@@ -332,12 +344,12 @@ class TestRun:
             def write_then_fail(record):
                 on_round(record)
                 if scenario.r_values == (60.0,) and record.n == 3:
-                    raise SweepError("stopped after round 3")
+                    raise error("stopped after round 3")
 
             return real_run_sweep(scenario, on_round=write_then_fail)
 
         monkeypatch.setattr(cli, "run_sweep", fail_in_round_3_at_60)
-        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 3
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == code
         assert "stopped after round 3" in capsys.readouterr().err
         assert sorted(p.name for p in out.iterdir()) == ["traj_R30.csv"]
 

@@ -8,8 +8,8 @@ from fairalloc import (
     AllocationConfig,
     ExponentialDecay,
     LogUtility,
+    NoRootError,
     Scenario,
-    SweepError,
     canonical_scenario,
     find_nonconvergent_rate,
     run_allocation,
@@ -196,14 +196,18 @@ class TestRunSweep:
         sweep = run_sweep(canonical_scenario(r_values=[30.0, 60.0, 65.0]))
         assert list(sweep.results) == [30.0, 60.0, 65.0]
 
-    def test_wraps_failures_with_the_offending_rate(self):
-        sc = Scenario(
-            name="starved",
-            users=(("lone", LogUtility(k=0.5, r_max=100.0)),),
-            r_values=(1e12,),  # prices so small the bracket cap is hit
-        )
-        with pytest.raises(SweepError, match="1000000000000"):
-            run_sweep(sc)
+    @pytest.mark.parametrize("scenario, error, message", [
+        # the lone log user cannot absorb R = 1e12: refused before round 1
+        (Scenario(name="starved", users=(("lone", LogUtility(k=0.5, r_max=100.0)),), r_values=(1e12,)),
+         ValueError, "total rate R=1000000000000.0 is above the demand ceiling 999999999.97"),
+        # tiny initial bids price R = 1.39e9's first round below every log user's slope at the bracket cap
+        (canonical_scenario(r_values=(60.0, 1.39e9), config=AllocationConfig(initial_bid=0.001)),
+         NoRootError, "log-slope still above price 4.316546762589928e-12 at rate 1000000000.0"),
+    ], ids=["above-the-ceiling", "round-priced-too-low"])
+    def test_passes_allocation_failures_on_unchanged(self, scenario, error, message):
+        with pytest.raises(error) as caught:
+            run_sweep(scenario)
+        assert type(caught.value) is error and str(caught.value).startswith(message)
 
     def test_passes_on_round_errors_on_unchanged(self):
         bug = ValueError("my own bug")

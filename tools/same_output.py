@@ -8,14 +8,17 @@ once as scenario files, and both trees run the same commands on the same
 files, each as ``python -m fairalloc.cli`` with ``PYTHONPATH=<tree>/src``:
 ``run`` on every population, ``run --R 7.5,30``, ``run --R 2.7e9`` (roots
 past the first upper bracket, near the demand ceiling), ``curves``, and
-``fit`` once succeeding and once failing. Two cases exit with an error:
+``fit`` once succeeding and once failing. Three cases exit with an error:
 ``run --R 60,3e9`` (exit 3 above the demand ceiling, after the 60 point's
-file is kept) and ``run`` on a copy of the canonical population with the
-unknown key ``config.solver.rel_tol`` (exit 2). Every output file's bytes,
-stdout, stderr and exit code are compared, so a ``.part`` file left behind
-shows up as a difference. The CLI writes every round of every
-point with ``repr``, so identical files also mean identical library
-records. Each script in this checkout's ``demos/`` also runs in both
+file is kept), ``run --R 60,1.39e9`` on a copy of the canonical
+population with ``initial_bid`` 1e-3 (exit 3 from a ``NoRootError`` in
+the 1.39e9 point's first round, whose price is below every log user's
+slope at the bracket cap) and ``run`` on a copy of the canonical
+population with the unknown key ``config.solver.rel_tol`` (exit 2).
+Every output file's bytes, stdout, stderr and exit code are compared, so
+a ``.part`` file left behind shows up as a difference. The CLI writes
+every round of every point with ``repr``, so identical files also mean
+identical library records. Each script in this checkout's ``demos/`` also runs in both
 trees, as ``python <tree>/demos/<name>`` with ``PYTHONPATH=<tree>/src``,
 and its stdout and exit code are compared. Every difference is printed.
 For a CSV file whose header, row count and field counts match, that is
@@ -46,7 +49,10 @@ import workloads  # noqa: E402
 
 
 def write_populations(dest: Path) -> dict[str, Path]:
-    """Write each benchmark population, and one malformed population, as a scenario file; return the paths."""
+    """Write each benchmark population and two altered canonical ones as scenario files; return the paths.
+
+    One has a key the reader refuses, the other initial bids of 1e-3.
+    """
     fa = workloads.import_fairalloc()
     paths = {}
     for workload in workloads.WORKLOADS:
@@ -57,18 +63,25 @@ def write_populations(dest: Path) -> dict[str, Path]:
     malformed["config"]["solver"]["rel_tol"] = 1e-8
     paths["unknown key"] = dest / "unknown-key.json"
     paths["unknown key"].write_text(json.dumps(malformed), encoding="utf-8")
+    tiny_bids = workloads.scenario_doc("canonical-plain", fa)
+    tiny_bids["config"]["initial_bid"] = 1e-3
+    paths["tiny bids"] = dest / "tiny-bids.json"
+    paths["tiny bids"].write_text(json.dumps(tiny_bids), encoding="utf-8")
     return paths
 
 
 def cases(populations: dict[str, Path]) -> dict[str, list[str]]:
     """Each case's CLI arguments; ``--out`` is relative to the case's own directory."""
     canonical = str(populations["canonical-plain"])
-    runs = {f"run {w}": ["run", "--config", str(p), "--out", "out"] for w, p in populations.items()}
+    runs = {f"run {w}": ["run", "--config", str(p), "--out", "out"]
+            for w, p in populations.items() if w != "tiny bids"}
     return {
         **runs,
         "run --R 7.5,30": ["run", "--config", canonical, "--out", "out", "--R", "7.5,30"],
         "run --R 2.7e9": ["run", "--config", canonical, "--out", "out", "--R", "2.7e9"],
         "run --R 60,3e9": ["run", "--config", canonical, "--out", "out", "--R", "60,3e9"],
+        "run tiny bids --R 60,1.39e9": ["run", "--config", str(populations["tiny bids"]), "--out", "out",
+                                        "--R", "60,1.39e9"],
         "curves": ["curves", "--config", canonical, "--out", "out"],
         "fit": ["fit", "200", "0.05", "740", "0.99"],
         "fit error": ["fit", "740", "0.05", "200", "0.99"],
