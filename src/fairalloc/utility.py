@@ -31,8 +31,9 @@ rounded value never increases from one double to the next, which the
 solver relies on to skip evaluations. ``estimate_rate(price)`` is a
 cheap estimate of the rate where ``log_slope`` equals ``price``, closed
 form for a sigmoid and a few Newton steps for a log curve. It may be
-inf, and its accuracy only decides how many evaluations the solver
-saves, never what the solver returns.
+inf. When the solver's probes either side of it certify the root, the
+solver returns it to within ``REL_TOL``, so the estimate sets the
+returned double; a poor estimate only costs evaluations.
 """
 
 from __future__ import annotations

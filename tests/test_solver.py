@@ -1,8 +1,9 @@
 import math
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fairalloc import (
@@ -19,15 +20,18 @@ from fairalloc import (
     run_sweep,
     solve_user_rate,
 )
-from fairalloc.solver import BRACKET_HI, HI_CAP, REL_TOL
-from mp_roots import mp_rate
+from fairalloc.solver import BRACKET_HI, HI_CAP, PROBE_STEP, REL_TOL
+from mp_roots import mp_rate, mp_root_between
 
 
 def plain_bisection(u, price, config):
-    """Reference solve: bisection that evaluates the log-slope at every midpoint.
+    """Reference solve: bisection from [bracket_lo, BRACKET_HI] that evaluates the log-slope at every midpoint.
 
-    ``solve_user_rate`` skips the evaluations whose outcome monotonicity
-    already decides, so it must return this very double.
+    It is the reference for two things only: how many evaluations a
+    solve may take, and which cases pin to ``bracket_lo`` or raise
+    NoRootError, where ``solve_user_rate`` must agree with it exactly.
+    Any other rate ``solve_user_rate`` returns may differ from this one
+    within REL_TOL, since it bisects the bracket its probes certify.
     """
     lo = config.bracket_lo
     hi = BRACKET_HI
@@ -53,6 +57,29 @@ def outcome(solve, u, price, config):
         return solve(u, price, config)
     except NoRootError:
         return NoRootError
+
+
+ULPS = 4 * sys.float_info.epsilon  # rounding slack, relative, on a rate or a log-slope
+
+
+def assert_solves(u, price, config):
+    """Check one solve against its contract, and return its outcome.
+
+    Pinned and NoRootError outcomes agree exactly with plain bisection.
+    Any other rate lies within half REL_TOL (plus a few ulps) of the root:
+    the rounded log-slope straddles the price at that distance either
+    side, and so does the mpmath slope, to within a few ulps of the price
+    (on a sigmoid's flat stretch those ulps move the root far).
+    """
+    rate = outcome(solve_user_rate, u, price, config)
+    expected = outcome(plain_bisection, u, price, config)
+    if NoRootError in (rate, expected) or config.bracket_lo in (rate, expected):
+        assert rate == expected
+        return rate
+    d = (0.5 * REL_TOL + ULPS) * rate
+    assert u.log_slope(rate - d) >= price >= u.log_slope(rate + d)
+    assert mp_root_between(u, price, rate - d, rate + d, ULPS)
+    return rate
 
 
 def log_uniform(lo, hi):
@@ -231,7 +258,7 @@ class TestSolveUserRate:
     def test_resolves_roots_far_below_the_first_bracket(self, root, slope_calls):
         # plain bisection from [bracket_lo, BRACKET_HI] takes ~1000 halvings
         # to come down to 1e-290; the solve must not stop on a step count,
-        # and the halvings outside the probed bracket cost no evaluation
+        # and starts from the probed bracket instead
         u = LogUtility(k=0.5, r_max=100.0)
         config = SolverConfig(bracket_lo=root * 1e-10)
         price = u.log_slope(root)
@@ -239,7 +266,7 @@ class TestSolveUserRate:
         rate = solve_user_rate(u, price, config)
         assert len(slope_calls) <= 8
         assert rate == pytest.approx(root, rel=1e-9)
-        assert rate == plain_bisection(u, price, config)
+        assert assert_solves(u, price, config) == rate
 
     @pytest.mark.parametrize(
         "u, price",
@@ -254,9 +281,8 @@ class TestSolveUserRate:
     def test_underflowing_slope_scale_solves_to_the_root(self, u, price):
         # a (or k) times bracket_lo underflows to 0; there the log-slope is its 1/r limit
         config = SolverConfig(bracket_lo=1e-300)
-        rate = solve_user_rate(u, price, config)
+        rate = assert_solves(u, price, config)
         assert rate == pytest.approx(float(mp_rate(u, price, config.bracket_lo)), rel=1e-9)
-        assert rate == plain_bisection(u, price, config)
 
     @pytest.mark.parametrize("price", [0.0, -1.0, math.nan, math.inf])
     def test_rejects_bad_price(self, price):
@@ -280,10 +306,11 @@ class TestSolveUserRate:
 
 
 class TestSkippedEvaluations:
-    # The solver evaluates the log-slope only inside the bracket its probes
-    # around the utility's estimated root leave open; everywhere else the
-    # log-slope's monotonicity decides the bisection step. It must walk the
-    # same midpoints as plain bisection and return the same double.
+    # The solver bisects only the bracket its probes around the utility's
+    # estimated root certify, so it evaluates the log-slope far less often
+    # than plain bisection from [bracket_lo, BRACKET_HI]. It must agree with
+    # plain bisection on pinned and NoRootError outcomes and otherwise
+    # return a rate within half REL_TOL of the root (``assert_solves``).
 
     @given(case=sigmoid_cases(), config=configs)
     @example(case=(SigmoidUtility(a=5.0, b=10.0), 1e3), config=SolverConfig())  # pinned
@@ -292,7 +319,7 @@ class TestSkippedEvaluations:
     @settings(max_examples=300, deadline=None)
     def test_sigmoid_matches_plain_bisection(self, case, config):
         u, price = case
-        assert outcome(solve_user_rate, u, price, config) == outcome(plain_bisection, u, price, config)
+        assert_solves(u, price, config)
 
     @given(case=log_cases(), config=configs)
     @example(case=(LogUtility(k=0.5, r_max=100.0), 2000.0), config=SolverConfig())  # pinned
@@ -302,7 +329,7 @@ class TestSkippedEvaluations:
     @settings(max_examples=300, deadline=None)
     def test_log_matches_plain_bisection(self, case, config):
         u, price = case
-        assert outcome(solve_user_rate, u, price, config) == outcome(plain_bisection, u, price, config)
+        assert_solves(u, price, config)
 
     @given(case=st.one_of(sigmoid_cases(), log_cases()), config=configs)
     # flat stretch: the estimate misses by more than the probe step
@@ -317,6 +344,21 @@ class TestSkippedEvaluations:
         solve, plain = (slope_evaluations(f, u, price, config) for f in (solve_user_rate, plain_bisection))
         assert solve <= plain + 2
 
+    @given(case=st.one_of(sigmoid_cases(), log_cases()), config=configs)
+    @settings(max_examples=300, deadline=None)
+    def test_a_certified_estimate_is_the_answer(self, case, config):
+        # probes inside the first bracket that certify the root leave a
+        # bracket narrower than REL_TOL: its midpoint is returned at once
+        u, price = case
+        guess = u.estimate_rate(price)
+        x, y = guess * (1.0 - PROBE_STEP), guess * (1.0 + PROBE_STEP)
+        assume(config.bracket_lo < x < y < BRACKET_HI and u.log_slope(x) >= price > u.log_slope(y))
+        with pytest.MonkeyPatch.context() as mp:
+            calls = count_slope_calls(mp)
+            rate = solve_user_rate(u, price, config)
+        assert len(calls) == 2
+        assert abs(rate - guess) <= 2.0 * PROBE_STEP * guess
+
     @pytest.mark.parametrize("estimate", [math.nan, math.inf, -1.0, 0.0, 1e-300, 3.0, 1e8])
     def test_a_useless_estimate_falls_back_to_bisection(self, monkeypatch, table_utilities, estimate):
         monkeypatch.setattr(SigmoidUtility, "estimate_rate", lambda self, price: estimate)
@@ -324,7 +366,7 @@ class TestSkippedEvaluations:
         config = SolverConfig(bracket_lo=1e-12)
         for u in table_utilities.values():
             for price in (1e-4, 0.05, 0.3, 2.0, 1e3):
-                assert solve_user_rate(u, price, config) == plain_bisection(u, price, config)
+                assert_solves(u, price, config)
 
     def test_few_evaluations_per_solve(self, sweep_traffic):
         # plain bisection takes about 44 per solve on these populations; the
@@ -335,22 +377,21 @@ class TestSkippedEvaluations:
 
     def test_sweep_solves_match_plain_bisection(self, sweep_traffic):
         # the prices a real run announces, including those cycling on a
-        # sigmoid's flat stretch, where one ulp changes the walk; the
+        # sigmoid's flat stretch, where the root is ill-conditioned; the
         # stride, prime to the user counts, keeps the test fast
         solves, _ = sweep_traffic
         for u, price, config in solves[::7]:
-            assert solve_user_rate(u, price, config) == plain_bisection(u, price, config)
+            assert_solves(u, price, config)
 
     @pytest.mark.parametrize("depth", [3, 7, 13, 14, 15, 20, 30])
     def test_roots_on_a_bisection_midpoint(self, table_utilities, depth):
-        # a root exactly on a midpoint puts that midpoint inside the probed
-        # bracket, where only an evaluation decides, however deep the
-        # midpoint: the levels that skip the stop test must still evaluate it
+        # a price read off the log-slope at a double puts the rounded root
+        # exactly on that double, where the slope ties with the price
         config = SolverConfig()
         for u in table_utilities.values():
             for target in (0.05, 3.0, 12.0, 40.0):
                 price = u.log_slope(walk_midpoint(target, depth, config))
-                assert solve_user_rate(u, price, config) == plain_bisection(u, price, config)
+                assert_solves(u, price, config)
 
 
 class TestGridOracle:
