@@ -4,7 +4,8 @@ A Scenario bundles an ordered user population (id, utility) with the
 list of total rates to evaluate and the loop configuration. Its name is
 a nonempty string and each user id a nonempty string that UTF-8 CSV
 output can carry raw (no comma, double quote, line break or lone
-surrogate); an id of any other type is refused, not converted. Scenario
+surrogate); an id of any other type is refused, not converted, and so
+is a rate that is not a real number (a bool or a string). Scenario
 is the only place these rules are checked, for scenario files too, so
 every Scenario round-trips through its file form.
 Runs are independent per rate value (no warm starting), so any single
@@ -49,7 +50,10 @@ class Scenario:
 
     def __post_init__(self):
         object.__setattr__(self, "users", tuple((i, u) for i, u in self.users))
-        object.__setattr__(self, "r_values", tuple(float(r) for r in self.r_values))
+        rates = tuple(self.r_values)
+        for k, r in enumerate(rates):  # before converting, so a bool or a string is refused
+            positive_finite(f"r_values[{k}]", r)
+        object.__setattr__(self, "r_values", tuple(float(r) for r in rates))
         if not isinstance(self.name, str) or not self.name:
             raise ValueError(f"scenario.name: expected a nonempty string, got {self.name!r}")
         if not self.users:
@@ -65,8 +69,6 @@ class Scenario:
             raise ValueError(f"user ids must be unique, got {ids}")
         if not self.r_values:
             raise ValueError("r_values must be nonempty")
-        for r in self.r_values:
-            positive_finite("r_values", r)
         if any(b <= a for a, b in zip(self.r_values, self.r_values[1:])):
             raise ValueError(f"r_values must be strictly ascending, got {self.r_values}")
 

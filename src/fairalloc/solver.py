@@ -6,36 +6,34 @@ unique root of
 
     d/dr log U(r) = p
 
-found here by bisection, which is deterministic and keeps its bracket
-whatever the curve's shape.
+found here from a certified estimate or, failing that, by bisection,
+which is deterministic and keeps its bracket whatever the curve's shape.
 
-Bisection starts from a bracket the utility's own estimate certifies.
-Each utility gives a cheap estimate of the root (``estimate_rate``), and
-the solver evaluates the log-slope at one pair of probes, ``PROBE_STEP``
-either side of it. The probes certify a bracket: the slope is >= p at
-``below`` and < p at ``above``, and since the rounded log-slope never
+Each utility gives a cheap estimate of the root (``estimate_rate``),
+and the solver first evaluates the log-slope at one pair of probes,
+``PROBE_STEP`` either side of it. Since the rounded log-slope never
 increases from one double to the next (the tests check this for both
-families), the root lies between them. When they certify both ends, that
-bracket is already narrower than ``REL_TOL`` and its midpoint is the
-answer, after two evaluations; the estimate therefore sets the returned
-double, to within the tolerance. An estimate that misses the root by
-more than ``PROBE_STEP`` (nan, infinite or far off) only costs speed:
-the probes then certify one end at most, and bisection starts from that
-half-certified bracket. The probes come before the boundary checks
-below, so a probe that certifies ``below`` also settles the pinned
-check, and one that certifies ``above`` the test for a doubling, without
-evaluating the bracket's end.
+families), a slope >= p at the lower probe and < p at the upper one
+certifies that the root lies between them. That bracket is narrower
+than ``REL_TOL``, so when the probes lie inside ``(bracket_lo, HI_CAP]``
+and certify it, its midpoint is the answer, after two evaluations: the
+estimate sets the returned double, to within the tolerance.
 
-Boundary handling:
+Any other estimate (nan, infinite, outside the window or off by more
+than ``PROBE_STEP``) costs the probes and nothing else: the solve then
+runs plain bisection from ``[bracket_lo, BRACKET_HI]``, whose result
+depends on the utility, the price and ``bracket_lo`` alone.
+
+Boundary handling in that bisection:
 
 * price above the slope at the lower bracket: the user can afford
   essentially nothing, so the rate pins to ``bracket_lo`` (returned
   exactly, which is how callers recognize a pinned user);
 * price below the slope at the upper bracket ``BRACKET_HI``: the
-  bracket doubles until it encloses the root, and its last doubling
-  stops at the fixed cap ``HI_CAP``; a slope still above the price at
-  ``HI_CAP`` raises NoRootError, which signals a pathologically small
-  price.
+  upper bracket doubles until it encloses the root, and its last
+  doubling stops at the fixed cap ``HI_CAP``; a slope still above the
+  price at ``HI_CAP`` raises NoRootError, which signals a
+  pathologically small price.
 
 Bisection stops once the bracket is narrower than ``REL_TOL`` of its
 midpoint, or once the midpoint rounds onto an end of the bracket, so
@@ -58,8 +56,8 @@ from .utility import UtilityFunction, positive_finite
 __all__ = ["SolverConfig", "NoRootError", "solve_user_rate", "grid_oracle"]
 
 
-BRACKET_HI = 1e3  # first upper bracket, doubled while the root lies above it
-HI_CAP = 1e9  # largest rate the upper bracket may grow to
+BRACKET_HI = 1e3  # first upper bracket of the fallback bisection, doubled while the root lies above it
+HI_CAP = 1e9  # largest rate a probe may certify or the upper bracket grow to
 REL_TOL = 1e-10  # bracket width, relative to its midpoint, at which bisection stops
 PROBE_STEP = 1e-12  # relative distance of each probe from the estimated root
 
@@ -73,7 +71,8 @@ class SolverConfig:
     bracket_lo: float = 1e-3  # smallest rate a user holds: the pinned floor
 
     def __post_init__(self):
-        if not 0.0 < self.bracket_lo < BRACKET_HI:
+        positive_finite("bracket_lo", self.bracket_lo)
+        if not self.bracket_lo < BRACKET_HI:
             raise ValueError(f"need 0 < bracket_lo < {BRACKET_HI}, got {self.bracket_lo}")
 
 
@@ -81,45 +80,36 @@ _DEFAULT = SolverConfig()
 
 
 def solve_user_rate(u: UtilityFunction, price: float, config: SolverConfig = _DEFAULT) -> float:
-    """Rate maximizing log U(r) - price*r, via bisection on the log-slope.
+    """Rate maximizing log U(r) - price*r: a certified estimate, or plain bisection on the log-slope.
 
-    Maintains the bracket invariant log_slope(lo) >= price >= log_slope(hi)
-    and stops once the bracket width falls below REL_TOL of its midpoint
-    or the midpoint no longer lies strictly inside the bracket. The bracket
-    starts as the one the probes around ``u.estimate_rate(price)``
-    certify, so the returned rate is the midpoint of an evaluated bracket
-    narrower than REL_TOL, and when both probes certify it is the midpoint
-    of the probe pair. Pinned rates (``bracket_lo`` exactly) and
-    NoRootError depend only on the log-slope at the bracket's ends.
-    Identical inputs give bit-identical results, for any positive ``a``,
-    ``k`` and ``bracket_lo``.
+    When the probes around ``u.estimate_rate(price)`` lie inside
+    ``(bracket_lo, HI_CAP]`` and certify the root between them, returns
+    their midpoint. Otherwise bisects from ``[bracket_lo, BRACKET_HI]``,
+    keeping the invariant log_slope(lo) >= price >= log_slope(hi), until
+    the bracket width falls below REL_TOL of its midpoint or the midpoint
+    no longer lies strictly inside the bracket. Pinned rates
+    (``bracket_lo`` exactly) and NoRootError come from that bisection
+    only. Identical inputs give bit-identical results, for any positive
+    ``a``, ``k`` and ``bracket_lo``.
     """
     # inline rather than positive_finite: this runs once per solve, on the hot path
     if price <= 0.0 or not math.isfinite(price):
         raise ValueError(f"price must be positive and finite, got {price}")
     lo = config.bracket_lo
-    hi = BRACKET_HI
     guess = u.estimate_rate(price)
     x, y = guess * (1.0 - PROBE_STEP), guess * (1.0 + PROBE_STEP)
-    if not lo < x < y < hi:
-        below, above = lo, hi
-    elif u.log_slope(x) < price:  # y lies above the certified x, so it is never evaluated
-        below, above = lo, x
-    elif u.log_slope(y) >= price:
-        below, above = y, hi
-    else:
-        below, above = x, y
-    if below == lo and u.log_slope(lo) < price:
+    if lo < x < y <= HI_CAP and u.log_slope(x) >= price > u.log_slope(y):
+        return 0.5 * (x + y)
+    if u.log_slope(lo) < price:
         return lo  # pinned: even the smallest tradable rate is too expensive
-    while above == hi and u.log_slope(hi) > price:
+    hi = BRACKET_HI
+    while u.log_slope(hi) > price:
         if hi == HI_CAP:
             raise NoRootError(
                 f"log-slope still above price {price} at rate {HI_CAP}; "
                 "price too small to meet within the bracket cap"
             )
-        below, above = hi, min(2.0 * hi, HI_CAP)  # log_slope(hi) > price certifies the old upper end
-        hi = above
-    lo, hi = below, above
+        hi = min(2.0 * hi, HI_CAP)
     while True:
         mid = 0.5 * (lo + hi)
         if hi - lo <= REL_TOL * mid or not lo < mid < hi:

@@ -28,17 +28,19 @@ All objects are immutable, and each method has one implementation,
 free of overflow for any parameters. Every method is scalar ``math``
 code that takes one float. ``log_slope`` is the solver's inner loop; its
 rounded value never increases from one double to the next, which the
-solver relies on to skip evaluations. ``estimate_rate(price)`` is a
-cheap estimate of the rate where ``log_slope`` equals ``price``, closed
-form for a sigmoid and a few Newton steps for a log curve. It may be
-inf. When the solver's probes either side of it certify the root, the
-solver returns it to within ``REL_TOL``, so the estimate sets the
-returned double; a poor estimate only costs evaluations.
+solver relies on to certify the root between two probes.
+``estimate_rate(price)`` is a cheap estimate of the rate where
+``log_slope`` equals ``price``, closed form for a sigmoid and a few
+Newton steps for a log curve. It may be inf. When the solver's probes
+either side of it certify the root, the solver returns it to within
+``REL_TOL``, so the estimate sets the returned double; a poor estimate
+costs its two probes, and the solver falls back to plain bisection.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass, field
 
@@ -50,7 +52,12 @@ _TINY = sys.float_info.min  # below this a*r or k*r loses bits: log_slope return
 
 
 def positive_finite(name: str, value) -> None:
-    """Reject a setting that is not a positive, finite number, naming it."""
+    """Reject a setting that is not a positive, finite real number, naming it.
+
+    A bool or a string is refused, not converted; numpy scalars are real numbers.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
     if not (value > 0.0 and math.isfinite(value)):
         raise ValueError(f"{name} must be positive and finite, got {value}")
 

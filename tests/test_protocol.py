@@ -43,7 +43,7 @@ class TestShadowPrice:
         for prev, rec in zip(rounds, rounds[1:]):
             assert rec.price * 41.0 == pytest.approx(prev.bids[0], rel=1e-15)
 
-    @pytest.mark.parametrize("rate", [0.0, -5.0, math.inf, math.nan])
+    @pytest.mark.parametrize("rate", [0.0, -5.0, math.inf, math.nan, "30", True])
     def test_rejects_bad_total_rate(self, rate):
         with pytest.raises(ValueError, match="total rate"):
             run_allocation([LogUtility(k=3.0, r_max=100.0)], rate)
@@ -296,7 +296,7 @@ class TestRunAllocation:
     def test_runs_a_budget_just_under_the_demand_ceiling(self):
         res = run_allocation(canonical_scenario().utilities, 2.78e9)
         assert (res.status, res.iterations_used) == (CONVERGED, 3)
-        assert res.final_price == 5.0657956178659166e-11  # as before the ceiling check existed
+        assert res.final_price == 5.065795617831995e-11  # as before the ceiling check existed
 
     @pytest.mark.parametrize("total_rate", [891.0, 1e3, 1e9])
     def test_all_sigmoid_ceiling_at_the_lowest_price(self, total_rate):
@@ -345,6 +345,8 @@ class TestRunAllocation:
             {"max_iter": 2.5},
             {"max_iter": math.nan},
             {"max_iter": True},
+            {"delta": "0.1"},  # refused, not compared with a float
+            {"initial_bid": True},  # refused, not read as 1
         ],
     )
     def test_rejects_bad_config(self, kwargs):

@@ -1,6 +1,7 @@
 import tracemalloc
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from fairalloc import (
@@ -44,11 +45,20 @@ class TestScenario:
             (float("nan"),),
             (float("inf"),),
             (30.0, float("nan")),
+            (True, 30.0),  # refused, not converted to 1.0
+            (10.0, "30"),  # refused, not converted to 30.0
         ],
     )
     def test_rejects_bad_rate_grids(self, r_values):
         with pytest.raises(ValueError):
             canonical_scenario(r_values=r_values)
+
+    def test_accepts_a_numpy_rate_grid(self):
+        # numpy integers are not ints and float32 is not a float, but both are real numbers
+        for r_values in (np.array([30, 60]), (np.int64(30), np.float32(60.5))):
+            rates = canonical_scenario(r_values=r_values).r_values
+            assert rates == (30.0, float(r_values[1]))
+            assert all(type(r) is float for r in rates)
 
     def test_rejects_duplicate_user_ids(self):
         with pytest.raises(ValueError):

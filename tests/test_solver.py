@@ -27,11 +27,10 @@ from mp_roots import mp_rate, mp_root_between
 def plain_bisection(u, price, config):
     """Reference solve: bisection from [bracket_lo, BRACKET_HI] that evaluates the log-slope at every midpoint.
 
-    It is the reference for two things only: how many evaluations a
-    solve may take, and which cases pin to ``bracket_lo`` or raise
-    NoRootError, where ``solve_user_rate`` must agree with it exactly.
-    Any other rate ``solve_user_rate`` returns may differ from this one
-    within REL_TOL, since it bisects the bracket its probes certify.
+    It is the reference for how many evaluations a solve may take, and
+    for the outcome of every solve whose probes do not certify the root:
+    ``solve_user_rate`` then returns this double, pins to ``bracket_lo``
+    or raises NoRootError exactly as it does.
     """
     lo = config.bracket_lo
     hi = BRACKET_HI
@@ -62,19 +61,25 @@ def outcome(solve, u, price, config):
 ULPS = 4 * sys.float_info.epsilon  # rounding slack, relative, on a rate or a log-slope
 
 
+def certified(u, price, config):
+    """Whether the probes around ``u.estimate_rate(price)`` lie in the window and certify the root between them."""
+    guess = u.estimate_rate(price)
+    x, y = guess * (1.0 - PROBE_STEP), guess * (1.0 + PROBE_STEP)
+    return config.bracket_lo < x < y <= HI_CAP and u.log_slope(x) >= price > u.log_slope(y)
+
+
 def assert_solves(u, price, config):
     """Check one solve against its contract, and return its outcome.
 
-    Pinned and NoRootError outcomes agree exactly with plain bisection.
-    Any other rate lies within half REL_TOL (plus a few ulps) of the root:
+    An uncertified solve returns plain bisection's outcome exactly. A
+    certified one lies within half REL_TOL (plus a few ulps) of the root:
     the rounded log-slope straddles the price at that distance either
     side, and so does the mpmath slope, to within a few ulps of the price
     (on a sigmoid's flat stretch those ulps move the root far).
     """
     rate = outcome(solve_user_rate, u, price, config)
-    expected = outcome(plain_bisection, u, price, config)
-    if NoRootError in (rate, expected) or config.bracket_lo in (rate, expected):
-        assert rate == expected
+    if not certified(u, price, config):
+        assert rate == outcome(plain_bisection, u, price, config)
         return rate
     d = (0.5 * REL_TOL + ULPS) * rate
     assert u.log_slope(rate - d) >= price >= u.log_slope(rate + d)
@@ -200,6 +205,8 @@ class TestSolverConfig:
             {"bracket_lo": -1.0},
             {"bracket_lo": math.inf},
             {"bracket_lo": 2e9},  # above HI_CAP as well
+            {"bracket_lo": True},  # refused, not read as 1
+            {"bracket_lo": "0.1"},  # refused, not compared with a float
         ],
     )
     def test_rejects_inconsistent_settings(self, kwargs):
@@ -244,10 +251,24 @@ class TestSolveUserRate:
 
     @pytest.mark.parametrize("root", [8e8, HI_CAP])
     def test_finds_roots_up_to_the_cap(self, root):
-        # the doubling bracket overshoots HI_CAP after 5.24e8; the last
-        # doubling must stop at the cap instead of giving up below it
+        # the probe window reaches HI_CAP itself; a missed estimate takes
+        # the doubling path, covered below
         u = LogUtility(k=0.5, r_max=100.0)
         assert solve_user_rate(u, u.log_slope(root)) == pytest.approx(root, rel=1e-9)
+
+    @pytest.mark.parametrize("root", [5e4, 8e8, HI_CAP])
+    def test_a_missed_estimate_doubles_to_the_cap(self, monkeypatch, root):
+        # without a certificate the bracket doubles from BRACKET_HI, and it
+        # overshoots HI_CAP after 5.24e8: the last doubling must stop at the
+        # cap instead of giving up below it, exactly as plain bisection does
+        monkeypatch.setattr(LogUtility, "estimate_rate", lambda self, price: math.nan)
+        u = LogUtility(k=0.5, r_max=100.0)
+        price, config = u.log_slope(root), SolverConfig()
+        rate = solve_user_rate(u, price, config)
+        assert rate == plain_bisection(u, price, config)
+        assert rate == pytest.approx(root, rel=1e-9)
+        solve, plain = (slope_evaluations(f, u, price, config) for f in (solve_user_rate, plain_bisection))
+        assert solve == plain
 
     def test_no_root_beyond_cap(self):
         u = LogUtility(k=0.5, r_max=100.0)
@@ -257,8 +278,8 @@ class TestSolveUserRate:
     @pytest.mark.parametrize("root", [1e-70, 1e-290])
     def test_resolves_roots_far_below_the_first_bracket(self, root, slope_calls):
         # plain bisection from [bracket_lo, BRACKET_HI] takes ~1000 halvings
-        # to come down to 1e-290; the solve must not stop on a step count,
-        # and starts from the probed bracket instead
+        # to come down to 1e-290, and must not stop on a step count (the
+        # tiny-root examples below run it); a certified estimate spares them
         u = LogUtility(k=0.5, r_max=100.0)
         config = SolverConfig(bracket_lo=root * 1e-10)
         price = u.log_slope(root)
@@ -306,16 +327,17 @@ class TestSolveUserRate:
 
 
 class TestSkippedEvaluations:
-    # The solver bisects only the bracket its probes around the utility's
-    # estimated root certify, so it evaluates the log-slope far less often
-    # than plain bisection from [bracket_lo, BRACKET_HI]. It must agree with
-    # plain bisection on pinned and NoRootError outcomes and otherwise
-    # return a rate within half REL_TOL of the root (``assert_solves``).
+    # When its probes around the utility's estimated root certify the root,
+    # the solver returns their midpoint after two evaluations, far fewer
+    # than plain bisection from [bracket_lo, BRACKET_HI] takes; that rate
+    # lies within half REL_TOL of the root. Otherwise it is plain
+    # bisection, and returns its outcome exactly (``assert_solves``).
 
     @given(case=sigmoid_cases(), config=configs)
     @example(case=(SigmoidUtility(a=5.0, b=10.0), 1e3), config=SolverConfig())  # pinned
     @example(case=(SigmoidUtility(a=1e-3, b=1e4), 1e-12), config=SolverConfig())  # no root below HI_CAP
     @example(case=(SigmoidUtility(a=1.0, b=800.0), 1.0), config=SolverConfig())  # e^-ab underflows; estimate inf
+    @example(case=(SigmoidUtility(a=4.9107668881721365, b=27.249411863738718), 4.9107668881721365), config=SolverConfig())  # flat stretch, uncertified
     @settings(max_examples=300, deadline=None)
     def test_sigmoid_matches_plain_bisection(self, case, config):
         u, price = case
@@ -334,7 +356,7 @@ class TestSkippedEvaluations:
     @given(case=st.one_of(sigmoid_cases(), log_cases()), config=configs)
     # flat stretch: the estimate misses by more than the probe step
     @example(case=(SigmoidUtility(a=4.9107668881721365, b=27.249411863738718), 4.9107668881721365), config=SolverConfig())
-    @example(case=(LOG_USER, LOG_USER.log_slope(5e4)), config=SolverConfig())  # the bracket doubles
+    @example(case=(LOG_USER, LOG_USER.log_slope(5e4)), config=SolverConfig())  # root above BRACKET_HI, certified
     @example(case=(LOG_USER, LOG_USER.log_slope(1e-290)), config=SolverConfig(bracket_lo=1e-300))  # tiny root
     @example(case=(LOG_USER, LOG_USER.log_slope(1e-298)), config=SolverConfig(bracket_lo=1e-300))  # stop at its floor
     @settings(max_examples=300, deadline=None)
@@ -345,14 +367,14 @@ class TestSkippedEvaluations:
         assert solve <= plain + 2
 
     @given(case=st.one_of(sigmoid_cases(), log_cases()), config=configs)
+    @example(case=(LOG_USER, LOG_USER.log_slope(5e4)), config=SolverConfig())  # above BRACKET_HI
     @settings(max_examples=300, deadline=None)
     def test_a_certified_estimate_is_the_answer(self, case, config):
-        # probes inside the first bracket that certify the root leave a
-        # bracket narrower than REL_TOL: its midpoint is returned at once
+        # probes below HI_CAP that certify the root leave a bracket
+        # narrower than REL_TOL: its midpoint is returned at once
         u, price = case
         guess = u.estimate_rate(price)
-        x, y = guess * (1.0 - PROBE_STEP), guess * (1.0 + PROBE_STEP)
-        assume(config.bracket_lo < x < y < BRACKET_HI and u.log_slope(x) >= price > u.log_slope(y))
+        assume(certified(u, price, config))
         with pytest.MonkeyPatch.context() as mp:
             calls = count_slope_calls(mp)
             rate = solve_user_rate(u, price, config)
@@ -369,9 +391,8 @@ class TestSkippedEvaluations:
                 assert_solves(u, price, config)
 
     def test_few_evaluations_per_solve(self, sweep_traffic):
-        # plain bisection takes about 44 per solve on these populations; the
-        # probes alone take about 2, and a certified probe spares the
-        # evaluations at the bracket's ends
+        # plain bisection takes about 44 per solve on these populations; a
+        # certified estimate takes 2, and only a miss adds bisection's
         solves, evaluations = sweep_traffic
         assert evaluations <= 3 * len(solves)
 

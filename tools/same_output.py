@@ -7,7 +7,9 @@ The benchmark's three populations (``bench/workloads.py``) are written
 once as scenario files, and both trees run the same commands on the same
 files, each as ``python -m fairalloc.cli`` with ``PYTHONPATH=<tree>/src``:
 ``run`` on every population, ``run --R 7.5,30``, ``run --R 2.7e9`` (roots
-past the first upper bracket, near the demand ceiling), ``curves``, and
+near the demand ceiling, far past the fallback bisection's first upper
+bracket: the probes certify every round's roots, and only the ceiling's
+root at the bracket cap is reached by doubling), ``curves``, and
 ``fit`` once succeeding and once failing. Three cases exit with an error:
 ``run --R 60,3e9`` (exit 3 above the demand ceiling, after the 60 point's
 file is kept), ``run --R 60,1.39e9`` on a copy of the canonical
