@@ -18,8 +18,8 @@ failed at R=...: ...``. Its CSV writer can raise only ``OSError`` (the
 scenario refuses user ids that UTF-8 cannot encode), so a point's
 ``ValueError`` or ``RuntimeError`` is the allocation's. ``run`` writes
 each round of a rate point to that point's trajectory as soon as the
-round is made, so no run holds more than one round; every CSV is
-written under a temporary name and renamed once it is complete. A
+round is made, so no run holds more than one cycle of rounds; every CSV
+is written under a temporary name and renamed once it is complete. A
 failure therefore leaves the earlier points' complete ``traj_R*.csv``
 files, nothing of the failing point and no ``summary.csv``.
 """
@@ -61,28 +61,26 @@ def _write_csv(path: Path, header: str):
 
 def _round_writer(write, user_ids):
     """A per-round callback that passes each round to ``write`` as one block of CSV rows."""
-    # repr sets this writer's cost, and a cycling run repeats most of its
-    # rates: a cycle revisits the same prices, which solve to the same
-    # doubles, and over the canonical sweep 75% of the rates written
-    # already appeared within the previous 16 rounds. So each rate's text
-    # is kept for about 16 rounds and dropped after that, so memory stays
-    # per round however long the run. Rates are > 0 and never NaN, and
-    # positive doubles that compare equal have the same bits, so one
-    # cached text serves every equal key.
-    limit = 16 * len(user_ids)
-    reprs = {}
+    # repr sets this writer's cost, and a cycling run repeats whole rounds:
+    # a plain run's exact cycle replays the same price, bids and rates
+    # under a new n. So each round's rows are kept as text without their
+    # leading "n," and a repeated round only joins them under its own n.
+    # The text is kept for about 16 rounds and dropped after that, so
+    # memory stays per round however long the run. Prices, bids and rates
+    # are products and quotients of positive doubles, never -0.0 or NaN,
+    # so doubles that compare equal have the same bits and one cached
+    # text serves every equal key.
+    rows = {}
 
     def on_round(rec):
-        if len(reprs) > limit:
-            reprs.clear()
-        head = f"{rec.n},{rec.price!r},"
-        rows = []
-        for uid, bid, rate in zip(user_ids, rec.bids, rec.rates):
-            text = reprs.get(rate)
-            if text is None:
-                text = reprs[rate] = repr(rate)
-            rows.append(f"{head}{uid},{bid!r},{text}\n")
-        write("".join(rows))
+        key = (rec.price, rec.bids, rec.rates)
+        text = rows.get(key)
+        if text is None:
+            if len(rows) >= 16:
+                rows.clear()
+            text = rows[key] = ("", *[f"{rec.price!r},{uid},{bid!r},{rate!r}\n"
+                                      for uid, bid, rate in zip(user_ids, rec.bids, rec.rates)])
+        write(f"{rec.n},".join(text))
 
     return on_round
 

@@ -15,10 +15,11 @@ Round n with outstanding bids w_i(n):
 Bids start at ``initial_bid``, and round one's moves are measured from
 it. Each round is one ``IterationRecord``. ``run_allocation`` hands each
 to an ``on_round`` callback as soon as it is made and keeps only the
-last, so a run holds one round however many it takes. The final rates,
-bids and price are the last round's. At a fixed point the budget
-clears: summing w_i = p*r_i and p = sum(w)/R gives sum(r_i) = R, and
-every non-pinned user equalizes its log-utility slope with the price.
+last, so a run holds one round however many it takes (one cycle of
+rounds when it replays one, see below). The final rates, bids and price
+are the last round's. At a fixed point the budget clears: summing
+w_i = p*r_i and p = sum(w)/R gives sum(r_i) = R, and every non-pinned
+user equalizes its log-utility slope with the price.
 
 The undamped loop does not always settle. It is the map
 F(p) = p*D(p)/R on the price, with D(p) = sum_i r_i(p) the total demand,
@@ -37,10 +38,24 @@ none below 400 rounds. The decay envelope caps per-round bid
 steps in that regime, but it shrinks on a fixed schedule: unless the
 price reaches p* before the envelope drops below delta, the run stops
 with frozen bids that do not clear the budget.
+
+Without a decay policy a round depends on the bids before it alone, so
+once a bids tuple repeats bit for bit every later round repeats with the
+same period. Eight of those nine capped runs do that, and a plain run
+replays such an exact cycle instead of solving it again: Brent's cycle
+detection (R. P. Brent, BIT 20, 1980) finds the period in O(1) memory,
+the next period of rounds is computed and kept, and the rest of the run
+streams those records again under new round numbers, the same records
+the loop would compute. Only a cycle whose period times the number of
+users is at most ``_REPLAY_FLOATS`` (4096) is kept, so a run's memory
+stays O(users); a longer one is solved round by round, as are damped
+runs, whose envelope depends on n, and cycles that are only
+approximately periodic.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -62,6 +77,7 @@ __all__ = [
 
 CONVERGED = "converged"
 ITERATION_CAP = "iteration_cap_reached"
+_REPLAY_FLOATS = 4096  # a plain run replays a cycle of period L only if L * users <= this
 
 
 @dataclass(frozen=True)
@@ -168,6 +184,11 @@ def run_allocation(
     rounds. Each round's ``IterationRecord`` is passed to
     ``on_round(record)`` as soon as it is made; the result keeps only the
     last. To keep every round, collect them: ``on_round=rounds.append``.
+    With ``decay=None``, rounds after an exact cycle of the bids has been
+    found and buffered are replayed from the buffer, not solved: the
+    records, their ``on_round`` calls, the status and ``iterations_used``
+    are the ones the loop would compute, and replayed records share their
+    ``bids`` and ``rates`` tuples with the buffered ones.
 
     Two cell rates have no equilibrium and are rejected up front. One below
     the users' pinned floor (each user holds at least ``bracket_lo``), and
@@ -203,7 +224,13 @@ def run_allocation(
             )
     decay = config.decay
     bids = (config.initial_bid,) * len(utilities)
-    status = ITERATION_CAP
+    # Brent's cycle detection on a plain run's bids: `saved` is the bids at
+    # the last power-of-two round count and `lam` the rounds since. Bids
+    # equal to `saved` prove a cycle whose smallest period is `lam`; the
+    # next `period` rounds are then kept in `cycle`. `longest` is the
+    # longest period kept, 0 for a damped run, which never compares.
+    longest = _REPLAY_FLOATS // len(utilities) if decay is None else 0
+    saved, power, lam, period, cycle = bids, 1, 0, 0, []
     for n in range(1, config.max_iter + 1):
         price = sum(bids) / total_rate
         rates = tuple([solve_user_rate(u, price, solver) for u in utilities])
@@ -220,6 +247,19 @@ def run_allocation(
         moved = max(abs(w - w_prev) for w, w_prev in zip(new_bids, bids))
         bids = new_bids
         if moved <= config.delta:
-            status = CONVERGED
-            break
-    return AllocationResult(status, (record,))
+            return AllocationResult(CONVERGED, (record,))
+        if period:
+            cycle.append(record)
+            if len(cycle) == period:
+                break
+        else:
+            lam += 1
+            if lam <= longest and bids == saved:
+                period = lam
+            elif lam == power:
+                saved, power, lam = bids, 2 * power, 0
+    # a kept cycle repeats until the cap; without one this loop is empty
+    for n, rec in zip(range(n + 1, config.max_iter + 1), itertools.cycle(cycle)):
+        record = IterationRecord(n, rec.price, rec.bids, rec.rates)
+        on_round(record)
+    return AllocationResult(ITERATION_CAP, (record,))

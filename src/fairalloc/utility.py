@@ -51,14 +51,23 @@ _NEWTON_STEPS = 6  # enough for full precision from LogUtility.estimate_rate's s
 _TINY = sys.float_info.min  # below this a*r or k*r loses bits: log_slope returns its 1/r limit
 
 
-def positive_finite(name: str, value) -> None:
-    """Reject a setting that is not a positive, finite real number, naming it.
+def _real(name: str, value) -> None:
+    """Reject a value that is not a real number, naming it.
 
     A bool or a string is refused, not converted; numpy scalars are real numbers.
     """
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a real number, got {value!r}")
-    if not (value > 0.0 and math.isfinite(value)):
+
+
+def positive_finite(name: str, value) -> None:
+    """Reject a setting that is not a positive, finite real number, naming it."""
+    _real(name, value)
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an integer beyond the largest double, too long to print in full
+        raise ValueError(f"{name} must be positive and finite, got an integer too large for a double") from None
+    if not (value > 0.0 and finite):
         raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
@@ -218,6 +227,8 @@ def sigmoid_from_qoe(r_low, s_low, r_high, s_high) -> SigmoidUtility:
     """
     positive_finite("r_low", r_low)
     positive_finite("r_high", r_high)
+    _real("s_low", s_low)
+    _real("s_high", s_high)
     if not 0.0 < r_low < r_high:
         raise ValueError(f"need 0 < r_low < r_high, got r_low={r_low}, r_high={r_high}")
     if not 0.0 < s_low < s_high < 1.0:

@@ -6,12 +6,48 @@ total demand; its only fixed point is the equilibrium price p*, and its
 slope there is the loop gain g = 1 + p*D'(p*)/R. The helpers below find
 p* and g without running the bidding loop. The late-round helpers take
 every round of one run, in order, as collected by
-``run_allocation(..., on_round=rounds.append)``.
+``run_allocation(..., on_round=rounds.append)``. ``plain_rounds`` is the
+plain loop written out with no cycle replay, the reference that
+``run_allocation``'s replay must reproduce record for record.
 """
 
 import math
 
-from fairalloc import solve_user_rate
+from fairalloc import CONVERGED, ITERATION_CAP, solve_user_rate
+
+
+def plain_rounds(utilities, total_rate: float, config) -> tuple[list, str]:
+    """Every round of the undamped loop as ``(n, price, bids, rates)``, computed one by one, and the status."""
+    bids = (config.initial_bid,) * len(utilities)
+    rounds = []
+    for n in range(1, config.max_iter + 1):
+        price = sum(bids) / total_rate
+        rates = tuple(solve_user_rate(u, price, config.solver) for u in utilities)
+        new_bids = tuple(price * r for r in rates)
+        rounds.append((n, price, new_bids, rates))
+        moved = max(abs(w - w_prev) for w, w_prev in zip(new_bids, bids))
+        bids = new_bids
+        if moved <= config.delta:
+            return rounds, CONVERGED
+    return rounds, ITERATION_CAP
+
+
+def first_repeat(rounds, initial_bid: float) -> tuple[int, int] | None:
+    """The first round whose bids equal an earlier round's (or the initial bids) bit for bit, and the lag between them."""
+    seen = {(initial_bid,) * len(rounds[0].bids): 0}
+    for rec in rounds:
+        if rec.bids in seen:
+            return rec.n, rec.n - seen[rec.bids]
+        seen[rec.bids] = rec.n
+    return None
+
+
+def price_period(rounds, window: int = 400) -> int | None:
+    """Smallest lag k < window with |p(n) - p(n-k)| < 1e-8 x the price amplitude over the last ``window`` rounds."""
+    prices = [rec.price for rec in rounds[-window:]]
+    tol = 1e-8 * (max(prices) - min(prices))
+    return next((k for k in range(1, len(prices))
+                 if all(abs(p - q) < tol for p, q in zip(prices[k:], prices))), None)
 
 
 def late_window(rounds) -> int:

@@ -13,8 +13,10 @@ from fairalloc import (
     SigmoidUtility,
     SolverConfig,
     canonical_scenario,
+    protocol,
     run_allocation,
 )
+from late_rounds import first_repeat, plain_rounds, price_period
 from mp_roots import mp_equilibrium
 
 
@@ -24,6 +26,28 @@ def first_round(utilities, total_rate, **config):
 
 def max_move(bids, prev_bids):
     return max(abs(w - w0) for w, w0 in zip(bids, prev_bids))
+
+
+def streamed(utilities, total_rate, config=AllocationConfig()):
+    """Every round ``run_allocation`` streams, as ``(n, price, bids, rates)``, with its status and round count."""
+    rounds = []
+    res = run_allocation(utilities, total_rate, config, rounds.append)
+    assert res.trajectory == (rounds[-1],)
+    return [(r.n, r.price, r.bids, r.rates) for r in rounds], res.status, res.iterations_used
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """A list that counts each ``solve_user_rate`` call ``run_allocation`` makes."""
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return solve(*args)
+
+    solve = protocol.solve_user_rate
+    monkeypatch.setattr(protocol, "solve_user_rate", counted)
+    return calls
 
 
 class TestShadowPrice:
@@ -347,6 +371,8 @@ class TestRunAllocation:
             {"max_iter": True},
             {"delta": "0.1"},  # refused, not compared with a float
             {"initial_bid": True},  # refused, not read as 1
+            {"delta": 10**400},  # beyond the largest double: named, not a bare OverflowError
+            {"initial_bid": -10**400},
         ],
     )
     def test_rejects_bad_config(self, kwargs):
@@ -357,3 +383,66 @@ class TestRunAllocation:
     def test_accepts_a_numpy_integer_max_iter(self):
         res = run_allocation([LogUtility(k=3.0, r_max=100.0)], 10.0, AllocationConfig(max_iter=np.int64(1)))
         assert res.iterations_used == 1
+
+
+class TestCycleReplay:
+    """A plain run whose bids repeat bit for bit replays its cycle instead of solving it again.
+
+    The plain loop's next round depends on its bids alone, so the replay
+    must stream exactly the rounds the loop computes one by one.
+    """
+
+    def test_default_sweep_streams_the_computed_rounds(self, solves):
+        sc = canonical_scenario()
+        for r in sc.r_values:
+            rounds, status = plain_rounds(sc.utilities, r, sc.config)
+            assert streamed(sc.utilities, r) == (rounds, status, len(rounds))
+        # 56,622 solves without the replay: 9,437 rounds of six users
+        assert len(solves) == 16_770
+
+    def test_every_rate_of_the_dense_grid_streams_the_computed_rounds(self, solves):
+        utilities = canonical_scenario().utilities
+        capped = replayed = 0
+        for r in range(2, 121):
+            rounds, status = plain_rounds(utilities, float(r), AllocationConfig())
+            solves.clear()
+            assert streamed(utilities, float(r)) == (rounds, status, len(rounds))
+            capped += status == ITERATION_CAP
+            replayed += len(solves) < 6 * len(rounds)
+        assert (capped, replayed) == (47, 39)
+
+    @pytest.mark.parametrize("max_iter", range(63, 71))
+    def test_runs_that_end_around_the_buffered_period(self, solves, max_iter):
+        # R = 5's bids first repeat at round 38 with period 2. Brent's
+        # detection sees it at round 65, rounds 66 and 67 fill the buffer,
+        # and round 68 is the first replayed.
+        config = AllocationConfig(max_iter=max_iter)
+        utilities = canonical_scenario().utilities
+        rounds, status = plain_rounds(utilities, 5.0, config)
+        assert streamed(utilities, 5.0, config) == (rounds, status, max_iter)
+        assert len(solves) == 6 * min(max_iter, 67)
+
+    def test_a_cycle_too_long_to_buffer_is_solved_again(self, solves):
+        # 120 copies of the six users at R = 120 x 40 cycle exactly with
+        # period 12 from round 91, but 12 x 720 floats exceed the buffer's
+        # cap, so every round is solved.
+        utilities = canonical_scenario().utilities * 120
+        config = AllocationConfig(max_iter=200)
+        rounds, status = plain_rounds(utilities, 4800.0, config)
+        solves.clear()
+        assert streamed(utilities, 4800.0, config) == (rounds, status, 200)
+        assert 12 * len(utilities) > protocol._REPLAY_FLOATS
+        assert len(solves) == len(utilities) * 200
+
+    def test_documented_periods(self):
+        # README: the capped points of the default sweep and their periods
+        sc = canonical_scenario()
+        capped = {}
+        for r in sc.r_values:
+            rounds = []
+            if run_allocation(sc.utilities, r, sc.config, rounds.append).status == ITERATION_CAP:
+                capped[r] = (price_period(rounds), first_repeat(rounds, sc.config.initial_bid))
+        assert list(capped) == [5.0, 10.0, 15.0, 20.0, 25.0, 40.0, 45.0, 50.0, 55.0]
+        assert [price for price, _ in capped.values()] == [2, 6, 6, None, 4, 6, 2, 3, 5]
+        assert [exact for _, exact in capped.values()] == [
+            (38, 2), (193, 12), (225, 6), None, (76, 4), (86, 6), (135, 2), (95, 6), (58, 5)]

@@ -187,6 +187,15 @@ class TestQoeFit:
         with pytest.raises(ValueError):
             sigmoid_from_qoe(*args)
 
+    @pytest.mark.parametrize("args, name", [
+        ((1.0, "0.1", 2.0, 0.9), "s_low"),  # refused by name, not a bare TypeError from comparing
+        ((1.0, 0.1, 2.0, None), "s_high"),
+        ((1.0, True, 2.0, 0.9), "s_low"),  # refused, not read as 1
+    ])
+    def test_names_a_satisfaction_that_is_not_a_real_number(self, args, name):
+        with pytest.raises(ValueError, match=f"{name} must be a real number"):
+            sigmoid_from_qoe(*args)
+
 
 class TestCurveProperties:
     # Sigmoid draws are parametrized through x = a*(r - b) and kept below

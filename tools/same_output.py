@@ -17,6 +17,11 @@ population with ``initial_bid`` 1e-3 (exit 3 from a ``NoRootError`` in
 the 1.39e9 point's first round, whose price is below every log user's
 slope at the bracket cap) and ``run`` on a copy of the canonical
 population with the unknown key ``config.solver.rel_tol`` (exit 2).
+``run`` also runs on copies of the canonical population whose
+``max_iter`` is 40, 66, 68 and 200. R = 5's exact cycle is found at
+round 65 and kept over rounds 66 and 67, so its runs end before the
+cycle is found, while it is kept, on the first replayed round and well
+into the replay.
 Every output file's bytes, stdout, stderr and exit code are compared, so
 a ``.part`` file left behind shows up as a difference. The CLI writes
 every round of every point with ``repr``, so identical files also mean
@@ -51,9 +56,10 @@ import workloads  # noqa: E402
 
 
 def write_populations(dest: Path) -> dict[str, Path]:
-    """Write each benchmark population and two altered canonical ones as scenario files; return the paths.
+    """Write each benchmark population and altered canonical ones as scenario files; return the paths.
 
-    One has a key the reader refuses, the other initial bids of 1e-3.
+    One has a key the reader refuses, one initial bids of 1e-3, and four a
+    smaller ``max_iter`` each.
     """
     fa = workloads.import_fairalloc()
     paths = {}
@@ -69,6 +75,11 @@ def write_populations(dest: Path) -> dict[str, Path]:
     tiny_bids["config"]["initial_bid"] = 1e-3
     paths["tiny bids"] = dest / "tiny-bids.json"
     paths["tiny bids"].write_text(json.dumps(tiny_bids), encoding="utf-8")
+    for max_iter in (40, 66, 68, 200):
+        capped = workloads.scenario_doc("canonical-plain", fa)
+        capped["config"]["max_iter"] = max_iter
+        paths[f"max_iter {max_iter}"] = dest / f"max-iter-{max_iter}.json"
+        paths[f"max_iter {max_iter}"].write_text(json.dumps(capped), encoding="utf-8")
     return paths
 
 
