@@ -18,7 +18,7 @@ failed at R=...: ...``. Its CSV writer can raise only ``OSError`` (the
 scenario refuses user ids that UTF-8 cannot encode), so a point's
 ``ValueError`` or ``RuntimeError`` is the allocation's. ``run`` writes
 each round of a rate point to that point's trajectory as soon as the
-round is made, so no run holds more than one cycle of rounds; every CSV
+round is made, so no run holds a trajectory; every CSV
 is written under a temporary name and renamed once it is complete. A
 failure therefore leaves the earlier points' complete ``traj_R*.csv``
 files, nothing of the failing point and no ``summary.csv``.
@@ -62,14 +62,15 @@ def _write_csv(path: Path, header: str):
 def _round_writer(write, user_ids):
     """A per-round callback that passes each round to ``write`` as one block of CSV rows."""
     # repr sets this writer's cost, and a cycling run repeats whole rounds:
-    # a plain run's exact cycle replays the same price, bids and rates
-    # under a new n. So each round's rows are kept as text without their
-    # leading "n," and a repeated round only joins them under its own n.
-    # The text is kept for about 16 rounds and dropped after that, so
-    # memory stays per round however long the run. Prices, bids and rates
-    # are products and quotients of positive doubles, never -0.0 or NaN,
-    # so doubles that compare equal have the same bits and one cached
-    # text serves every equal key.
+    # once a plain run's price repeats bit for bit, its memo hands back the
+    # same price, bids and rates under a new n. So each round's rows are
+    # kept as text without their leading "n," and a repeated round only
+    # joins them under its own n. The text is kept for at most 16 rounds
+    # and dropped after that, so memory stays flat however long the run
+    # and a cycle longer than 16 rounds formats every round. Prices, bids
+    # and rates are products and quotients of positive doubles, never
+    # -0.0 or NaN, so doubles that compare equal have the same bits and
+    # one cached text serves every equal key.
     rows = {}
 
     def on_round(rec):

@@ -15,8 +15,8 @@ Round n with outstanding bids w_i(n):
 Bids start at ``initial_bid``, and round one's moves are measured from
 it. Each round is one ``IterationRecord``. ``run_allocation`` hands each
 to an ``on_round`` callback as soon as it is made and keeps only the
-last, so a run holds one round however many it takes (one cycle of
-rounds when it replays one, see below). The final rates, bids and price
+last, so a run holds one round however many it takes, besides its
+bounded memo of rates per price (see below). The final rates, bids and price
 are the last round's. At a fixed point the budget clears: summing
 w_i = p*r_i and p = sum(w)/R gives sum(r_i) = R, and every non-pinned
 user equalizes its log-utility slope with the price.
@@ -39,25 +39,24 @@ steps in that regime, but it shrinks on a fixed schedule: unless the
 price reaches p* before the envelope drops below delta, the run stops
 with frozen bids that do not clear the budget.
 
-Without a decay policy a round depends on the bids before it alone, so
-once a bids tuple repeats bit for bit every later round repeats with the
-same period. Eight of those nine capped runs do that, and a plain run
-replays such an exact cycle instead of solving it again: Brent's cycle
-detection (R. P. Brent, BIT 20, 1980) finds the period in O(1) memory,
-the next period of rounds is computed and kept, and the rest of the run
-streams those records again under new round numbers, the same records
-the loop would compute. Only a cycle whose period times the number of
-users is at most ``_REPLAY_FLOATS`` (4096) is kept, so a run's memory
-stays O(users); a longer one is solved round by round, as are damped
-runs, whose envelope depends on n, and cycles that are only
-approximately periodic.
+A round's rates are a pure function of its announced price, since the
+solve is deterministic, and so are the undamped bids p * r_i. A run
+remembers both for each price it has announced and, when a price comes
+round again, reuses them instead of solving again (a memo function in
+the sense of D. Michie, Nature 218, 1968); a damped run clamps the
+remembered bids as it would fresh ones. Eight of the nine capped runs
+above repeat a price bit for bit, and from then on no round is solved.
+The memo is cleared once it holds ``_MEMO_FLOATS`` (4096) floats, so a
+run remembers at most that many however long it is (one round's for a
+population of more than 2048 users); a cycle with more prices than the
+memo has entries is solved round by round.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
+import operator
 from dataclasses import dataclass, field
 
 from .solver import HI_CAP, SolverConfig, solve_user_rate
@@ -66,7 +65,6 @@ from .utility import positive_finite
 __all__ = [
     "ExponentialDecay",
     "RationalDecay",
-    "DecayPolicy",
     "AllocationConfig",
     "IterationRecord",
     "AllocationResult",
@@ -77,7 +75,7 @@ __all__ = [
 
 CONVERGED = "converged"
 ITERATION_CAP = "iteration_cap_reached"
-_REPLAY_FLOATS = 4096  # a plain run replays a cycle of period L only if L * users <= this
+_MEMO_FLOATS = 4096  # a run's memo of rates and bids per price is cleared once it holds this many floats
 
 
 @dataclass(frozen=True)
@@ -108,15 +106,13 @@ class RationalDecay:
         return self.l3 / n
 
 
-DecayPolicy = ExponentialDecay | RationalDecay
-
 
 @dataclass(frozen=True)
 class AllocationConfig:
     delta: float = 0.001
     max_iter: int = 1000
     initial_bid: float = 10.0
-    decay: DecayPolicy | None = None
+    decay: ExponentialDecay | RationalDecay | None = None
     solver: SolverConfig = field(default_factory=SolverConfig)
 
     def __post_init__(self):
@@ -184,11 +180,12 @@ def run_allocation(
     rounds. Each round's ``IterationRecord`` is passed to
     ``on_round(record)`` as soon as it is made; the result keeps only the
     last. To keep every round, collect them: ``on_round=rounds.append``.
-    With ``decay=None``, rounds after an exact cycle of the bids has been
-    found and buffered are replayed from the buffer, not solved: the
-    records, their ``on_round`` calls, the status and ``iterations_used``
-    are the ones the loop would compute, and replayed records share their
-    ``bids`` and ``rates`` tuples with the buffered ones.
+    A round whose price an earlier round announced takes that round's
+    rates and undamped bids from the run's memo instead of solving them
+    again, damped or not: the records, their ``on_round`` calls, the
+    status and ``iterations_used`` are the ones solving would give, and
+    an undamped round shares its ``bids`` and ``rates`` tuples with the
+    round that computed them.
 
     Two cell rates have no equilibrium and are rejected up front. One below
     the users' pinned floor (each user holds at least ``bracket_lo``), and
@@ -224,17 +221,16 @@ def run_allocation(
             )
     decay = config.decay
     bids = (config.initial_bid,) * len(utilities)
-    # Brent's cycle detection on a plain run's bids: `saved` is the bids at
-    # the last power-of-two round count and `lam` the rounds since. Bids
-    # equal to `saved` prove a cycle whose smallest period is `lam`; the
-    # next `period` rounds are then kept in `cycle`. `longest` is the
-    # longest period kept, 0 for a damped run, which never compares.
-    longest = _REPLAY_FLOATS // len(utilities) if decay is None else 0
-    saved, power, lam, period, cycle = bids, 1, 0, 0, []
+    memo, entries = {}, _MEMO_FLOATS // (2 * len(utilities))  # price -> (rates, undamped bids)
     for n in range(1, config.max_iter + 1):
         price = sum(bids) / total_rate
-        rates = tuple([solve_user_rate(u, price, solver) for u in utilities])
-        new_bids = tuple([price * r for r in rates])
+        known = memo.get(price)
+        if known is None:
+            if len(memo) >= entries:
+                memo.clear()
+            rates = tuple([solve_user_rate(u, price, solver) for u in utilities])
+            known = memo[price] = rates, tuple([price * r for r in rates])
+        rates, new_bids = known
         if decay is not None:
             # the envelope cuts a move larger than dw(n) back to old_bid +/- dw(n)
             limit = decay.step_limit(n)
@@ -244,22 +240,8 @@ def run_allocation(
             ])
         record = IterationRecord(n, price, new_bids, rates)
         on_round(record)
-        moved = max(abs(w - w_prev) for w, w_prev in zip(new_bids, bids))
+        moved = max(map(abs, map(operator.sub, new_bids, bids)))
         bids = new_bids
         if moved <= config.delta:
             return AllocationResult(CONVERGED, (record,))
-        if period:
-            cycle.append(record)
-            if len(cycle) == period:
-                break
-        else:
-            lam += 1
-            if lam <= longest and bids == saved:
-                period = lam
-            elif lam == power:
-                saved, power, lam = bids, 2 * power, 0
-    # a kept cycle repeats until the cap; without one this loop is empty
-    for n, rec in zip(range(n + 1, config.max_iter + 1), itertools.cycle(cycle)):
-        record = IterationRecord(n, rec.price, rec.bids, rec.rates)
-        on_round(record)
     return AllocationResult(ITERATION_CAP, (record,))

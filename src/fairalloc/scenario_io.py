@@ -43,18 +43,14 @@ from .sim import Scenario
 from .solver import SolverConfig
 from .utility import LogUtility, SigmoidUtility
 
-__all__ = ["ScenarioFormatError", "parse_scenario", "load_scenario", "scenario_to_dict"]
+__all__ = ["parse_scenario", "load_scenario", "scenario_to_dict"]
 
 _UTILITY_TYPES = {"sigmoid": SigmoidUtility, "log": LogUtility}
 _DECAY_TYPES = {"none": None, "exponential": ExponentialDecay, "rational": RationalDecay}
 
 
-class ScenarioFormatError(ValueError):
-    """A scenario document failed validation; the message names the field."""
-
-
 def _fail(path: str, message: str):
-    raise ScenarioFormatError(f"{path}: {message}")
+    raise ValueError(f"{path}: {message}")
 
 
 def _check_keys(mapping, path: str, required=(), optional=()):
@@ -161,7 +157,7 @@ def load_scenario(path) -> Scenario:
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except ValueError as exc:
-        raise ScenarioFormatError(f"{path}: {exc}") from exc
+        raise ValueError(f"{path}: {exc}") from exc
     return parse_scenario(doc)
 
 

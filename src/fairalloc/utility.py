@@ -83,7 +83,7 @@ class SigmoidUtility:
     def __post_init__(self):
         positive_finite("sigmoid steepness a", self.a)
         positive_finite("sigmoid inflection rate b", self.b)
-        ab = self.a * self.b
+        ab = float(self.a) * float(self.b)  # integer parameters multiply as doubles, not as exact integers
         t = math.exp(-ab)  # exp(ab) overflows near ab ~ 709; 1/exp(ab) never does
         object.__setattr__(self, "_ab", ab)
         object.__setattr__(self, "_t", t)
@@ -171,10 +171,11 @@ class LogUtility:
     def __post_init__(self):
         positive_finite("log growth rate k", self.k)
         positive_finite("r_max", self.r_max)
-        if not 0.0 < self.k * self.r_max < math.inf:
+        kr_max = float(self.k) * float(self.r_max)  # as doubles: an integer product could pass the largest one
+        if not 0.0 < kr_max < math.inf:
             raise ValueError(f"k * r_max must be positive and finite, got k={self.k}, r_max={self.r_max}")
         # the log1p ``value`` uses, so that U(r_max) is exactly 1
-        object.__setattr__(self, "_denom", math.log1p(self.k * self.r_max))
+        object.__setattr__(self, "_denom", math.log1p(kr_max))
 
     def value(self, rate: float) -> float:
         """Satisfaction at ``rate`` >= 0; exactly 0 at rate 0 and exactly 1 at r_max."""

@@ -7,8 +7,9 @@ slope there is the loop gain g = 1 + p*D'(p*)/R. The helpers below find
 p* and g without running the bidding loop. The late-round helpers take
 every round of one run, in order, as collected by
 ``run_allocation(..., on_round=rounds.append)``. ``plain_rounds`` is the
-plain loop written out with no cycle replay, the reference that
-``run_allocation``'s replay must reproduce record for record.
+undamped loop written out with every round solved, the reference that
+``run_allocation``'s memo of rates per price must reproduce record for
+record.
 """
 
 import math

@@ -121,10 +121,11 @@ class TestRun:
         # Holding all four trajectories at once peaked at 1.42x the one-point
         # run. Each round now goes to its file as it is made, so neither run
         # holds a trajectory. A one-point peak still varies with the point's
-        # rates, through how full the round writer's rate-text cache is when
-        # the peak falls: R = 5 peaks 12-14% under R = 10 (all four peak
-        # alike with the cache taken out). So the four-point run is held to
-        # the largest of its own one-point peaks; it peaks at 0.99-1.08x.
+        # rates, mostly through how many prices the run's memo holds: R = 5,
+        # whose price first repeats at round 38, peaks at about 70 KB and
+        # R = 10, which first repeats at round 193, at about 150 KB. So the
+        # four-point run is held to the largest of its own one-point peaks;
+        # it peaks at about 0.84x.
         cfg = write_config(tmp_path, r_values=(5.0,), config=AllocationConfig(max_iter=200))
         points = ("5", "10", "15", "20")
 
@@ -147,8 +148,9 @@ class TestRun:
     def test_memory_stays_flat_as_rounds_grow(self, tmp_path):
         # R = 5 cycles to the cap, so the point runs exactly max_iter rounds.
         # Writing the trajectory after the run peaked at 6.5x from 100 to
-        # 1000 rounds; written round by round, the run holds one round and
-        # peaks at 1.07x.
+        # 1000 rounds; written round by round, the run holds one round, the
+        # memo of the 37 prices before R = 5's first repeat and the writer's
+        # text cache, and peaks at about 1.02x.
         def run(n, out):
             cfg = write_config(tmp_path, r_values=(5.0,), config=AllocationConfig(max_iter=n), name=f"{n}.json")
             return main(["run", "--config", str(cfg), "--out", str(tmp_path / out)])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -386,10 +387,12 @@ class TestRunAllocation:
 
 
 class TestCycleReplay:
-    """A plain run whose bids repeat bit for bit replays its cycle instead of solving it again.
+    """A round whose price came before takes its rates and bids from the run's memo instead of solving again.
 
-    The plain loop's next round depends on its bids alone, so the replay
-    must stream exactly the rounds the loop computes one by one.
+    A round's rates depend on its price alone, so the memo must stream
+    exactly the rounds the loop computes one by one, and a plain run
+    whose price repeats bit for bit solves no round after the first
+    repeat while its cycle's prices stay in the memo.
     """
 
     def test_default_sweep_streams_the_computed_rounds(self, solves):
@@ -397,42 +400,83 @@ class TestCycleReplay:
         for r in sc.r_values:
             rounds, status = plain_rounds(sc.utilities, r, sc.config)
             assert streamed(sc.utilities, r) == (rounds, status, len(rounds))
-        # 56,622 solves without the replay: 9,437 rounds of six users
-        assert len(solves) == 16_770
+        # 56,622 solves without the memo: 9,437 rounds of six users
+        assert len(solves) == 14_010
 
     def test_every_rate_of_the_dense_grid_streams_the_computed_rounds(self, solves):
+        # A capped point whose bids first repeat at round n solves the n - 1
+        # rounds before it. A plain round's bids are a function of its price,
+        # so no price repeats before the bids do; on this grid the price
+        # repeats in that same round, with no memo clear in between. Every
+        # other point solves every round.
         utilities = canonical_scenario().utilities
-        capped = replayed = 0
+        capped = repeated = 0
         for r in range(2, 121):
             rounds, status = plain_rounds(utilities, float(r), AllocationConfig())
             solves.clear()
-            assert streamed(utilities, float(r)) == (rounds, status, len(rounds))
+            records = []
+            result = run_allocation(utilities, float(r), AllocationConfig(), records.append)
+            assert [(rec.n, rec.price, rec.bids, rec.rates) for rec in records] == rounds
+            assert (result.status, result.trajectory) == (status, (records[-1],))
+            repeat = first_repeat(records, AllocationConfig().initial_bid) if status == ITERATION_CAP else None
+            assert len(solves) == 6 * (repeat[0] - 1 if repeat else len(rounds)), r
             capped += status == ITERATION_CAP
-            replayed += len(solves) < 6 * len(rounds)
-        assert (capped, replayed) == (47, 39)
+            repeated += repeat is not None
+        assert (capped, repeated) == (47, 40)
 
-    @pytest.mark.parametrize("max_iter", range(63, 71))
+    @pytest.mark.parametrize("max_iter", [*range(35, 41), *range(63, 71)])
     def test_runs_that_end_around_the_buffered_period(self, solves, max_iter):
-        # R = 5's bids first repeat at round 38 with period 2. Brent's
-        # detection sees it at round 65, rounds 66 and 67 fill the buffer,
-        # and round 68 is the first replayed.
+        # R = 5's bids first repeat at round 38 with period 2: rounds 36 and
+        # 37 put the period's two prices in the memo, and every round from 38
+        # on takes its rates from there. Runs end before the period is held,
+        # on its first and second reuse, just after, and well after it.
         config = AllocationConfig(max_iter=max_iter)
         utilities = canonical_scenario().utilities
         rounds, status = plain_rounds(utilities, 5.0, config)
         assert streamed(utilities, 5.0, config) == (rounds, status, max_iter)
-        assert len(solves) == 6 * min(max_iter, 67)
+        assert len(solves) == 6 * min(max_iter, 37)
+
+    def test_a_damped_run_takes_repeated_prices_from_the_memo(self, solves):
+        # an envelope that never binds leaves R = 5's run the plain one, so
+        # the damped run also solves only the 37 rounds before its first repeat
+        config = AllocationConfig(max_iter=200, decay=ExponentialDecay(l1=1e9, l2=1e9))
+        utilities = canonical_scenario().utilities
+        rounds, status = plain_rounds(utilities, 5.0, config)
+        solves.clear()
+        assert streamed(utilities, 5.0, config) == (rounds, status, 200)
+        assert len(solves) == 6 * 37
 
     def test_a_cycle_too_long_to_buffer_is_solved_again(self, solves):
         # 120 copies of the six users at R = 120 x 40 cycle exactly with
-        # period 12 from round 91, but 12 x 720 floats exceed the buffer's
-        # cap, so every round is solved.
+        # period 12 from round 91, but the memo's 4096 floats hold only two
+        # rounds of 720 users, so it is cleared before a price comes round
+        # again and every round is solved.
         utilities = canonical_scenario().utilities * 120
         config = AllocationConfig(max_iter=200)
         rounds, status = plain_rounds(utilities, 4800.0, config)
         solves.clear()
         assert streamed(utilities, 4800.0, config) == (rounds, status, 200)
-        assert 12 * len(utilities) > protocol._REPLAY_FLOATS
+        assert protocol._MEMO_FLOATS // (2 * len(utilities)) < 12
         assert len(solves) == len(utilities) * 200
+
+    def test_the_memo_stays_bounded_however_long_the_run(self):
+        # R = 20 cycles to the cap with no exact repeat, so the memo fills
+        # and is cleared every 341 rounds. A run peaks at about 115 KB at
+        # 1000 rounds and at 2000 (1.01x); a memo that is never cleared
+        # grows with the run.
+        utilities = canonical_scenario().utilities
+        # one-time allocations, a full memo's among them, stay out of the peaks
+        run_allocation(utilities, 20.0, AllocationConfig(max_iter=400))
+        peaks = {}
+        for n in (1000, 2000):
+            tracemalloc.start()
+            try:
+                result = run_allocation(utilities, 20.0, AllocationConfig(max_iter=n))
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert (result.status, result.iterations_used) == (ITERATION_CAP, n)
+        assert peaks[2000] <= 1.2 * peaks[1000]
 
     def test_documented_periods(self):
         # README: the capped points of the default sweep and their periods

@@ -7,7 +7,6 @@ from fairalloc import (
     AllocationConfig,
     ExponentialDecay,
     RationalDecay,
-    ScenarioFormatError,
     SolverConfig,
     canonical_scenario,
     load_scenario,
@@ -95,13 +94,13 @@ class TestParse:
     def test_diagnostics_name_the_field(self, mutate, needle):
         doc = minimal_doc()
         mutate(doc)
-        with pytest.raises(ScenarioFormatError, match=needle.replace("[", r"\[").replace("]", r"\]")):
+        with pytest.raises(ValueError, match=needle.replace("[", r"\[").replace("]", r"\]")):
             parse_scenario(doc)
 
     def test_duplicate_ids_rejected(self):
         doc = minimal_doc()
         doc["users"][1]["id"] = "Sig1"
-        with pytest.raises(ScenarioFormatError, match="unique"):
+        with pytest.raises(ValueError, match="unique"):
             parse_scenario(doc)
 
 
@@ -114,7 +113,7 @@ class TestLoad:
     def test_syntax_errors_carry_the_line(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{\n  "name": "x",\n  oops\n}\n')
-        with pytest.raises(ScenarioFormatError, match="line 3"):
+        with pytest.raises(ValueError, match="line 3"):
             load_scenario(path)
 
 

@@ -152,11 +152,12 @@ class TestRunSweep:
         # that buffers one file would. The sweep itself keeps one record per
         # finished point, so the four-point peak is its largest one-point
         # peak plus three records. The baseline is the largest one-point
-        # peak, because the points' held rounds differ in size: replayed
-        # rounds share their tuples, so R = 5, which replays from round 68,
-        # peaks at about 44 KB and R = 10, which first repeats at round 193,
-        # at about 109 KB. The four-point peak is about 0.82x the largest;
-        # a sweep that kept every point's rounds peaked at 3.5x.
+        # peak, because the points' held rounds differ in size: rounds
+        # taken from the run's memo share their tuples, so R = 5, whose
+        # price first repeats at round 38, peaks at about 40 KB and R = 10,
+        # which first repeats at round 193, at about 120 KB. The four-point
+        # peak is about 0.82x the largest; a sweep that kept every point's
+        # rounds peaked at 3.5x.
         config = AllocationConfig(max_iter=200)
         held = []
 
@@ -185,10 +186,13 @@ class TestRunSweep:
         # R = 5 cycles to the cap, so the point runs exactly max_iter rounds.
         # A sweep point that stored its rounds before cutting them peaked at
         # 14x from 100 to 1000 rounds; streamed, the peak holds one round
-        # (0.94x). A lone run_allocation that kept every round without a
-        # callback peaked at 11-15x (42 KB to 455-614 KB); one that drops
-        # them peaks at about 1.4 KB either way (1.01x), where a few objects
-        # more move the ratio, hence its looser bound.
+        # and the run's memo (1.00x). A lone run_allocation that kept every
+        # round without a callback peaked at 11-15x (42 KB to 455-614 KB);
+        # one that drops them peaks at about 11 KB either way (1.00x), most
+        # of it the memo of R = 5's 37 prices before its first repeat. The
+        # memo never fills here; TestCycleReplay checks its bound on a run
+        # that does not repeat. Without the memo the peak was about 1 KB,
+        # where a few objects more move the ratio, hence the looser bound.
         configs = {n: AllocationConfig(max_iter=n) for n in (100, 1000)}
         utilities = canonical_scenario().utilities
 

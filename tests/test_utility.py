@@ -34,12 +34,21 @@ class TestConstruction:
 
     @pytest.mark.parametrize(
         "k,r_max",
-        [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -2.0), (math.inf, 1.0), (1e200, 1e200), (1e-200, 1e-200)],
+        [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -2.0), (math.inf, 1.0), (1e200, 1e200), (1e-200, 1e-200),
+         pytest.param(10**200, 10**200, id="integers-past-the-largest-double")],
     )
     def test_log_rejects_bad_parameters(self, k, r_max):
-        # k * r_max overflowing or underflowing leaves log1p(k * r_max) inf or 0
+        # k * r_max overflowing or underflowing leaves log1p(k * r_max) inf or 0;
+        # integers multiply as doubles, so their product overflows to inf as well
         with pytest.raises(ValueError):
             LogUtility(k=k, r_max=r_max)
+
+    def test_sigmoid_integer_parameters_build_the_float_curve(self):
+        # a * b of two integers is an exact integer past the largest double
+        u, v = SigmoidUtility(a=10**200, b=10**200), SigmoidUtility(a=1e200, b=1e200)
+        assert (u.c, u.d) == (v.c, v.d)
+        for r in (1e-300, 1e-200, 1.0, 1e100):
+            assert (u.value(r), u.log_slope(r)) == (v.value(r), v.log_slope(r))
 
     def test_log_normalization_at_r_max(self):
         assert LogUtility(k=1.0, r_max=1.0).value(1.0) == 1.0

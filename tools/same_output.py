@@ -6,7 +6,11 @@ The base is a checkout directory or a git ref, as for ``bench_pairs.py``.
 The benchmark's three populations (``bench/workloads.py``) are written
 once as scenario files, and both trees run the same commands on the same
 files, each as ``python -m fairalloc.cli`` with ``PYTHONPATH=<tree>/src``:
-``run`` on every population, ``run --R 7.5,30``, ``run --R 2.7e9`` (roots
+``run`` on every population, ``run --R 7.5,30``, ``run --R 9,48,57``
+(exact cycles that first repeat late, at rounds 351, 260 and 595, with
+periods 4, 18 and 14: R = 57's repeat comes after the run's memo has been
+cleared once, and R = 48's period is longer than the CLI writer's
+16-round text cache), ``run --R 2.7e9`` (roots
 near the demand ceiling, far past the fallback bisection's first upper
 bracket: the probes certify every round's roots, and only the ceiling's
 root at the bracket cap is reached by doubling), ``curves``, and
@@ -18,10 +22,9 @@ the 1.39e9 point's first round, whose price is below every log user's
 slope at the bracket cap) and ``run`` on a copy of the canonical
 population with the unknown key ``config.solver.rel_tol`` (exit 2).
 ``run`` also runs on copies of the canonical population whose
-``max_iter`` is 40, 66, 68 and 200. R = 5's exact cycle is found at
-round 65 and kept over rounds 66 and 67, so its runs end before the
-cycle is found, while it is kept, on the first replayed round and well
-into the replay.
+``max_iter`` is 37, 38, 40 and 200. R = 5's price first repeats at
+round 38, so its runs end on the last round solved, on the first round
+taken from the run's memo, just after it and well into the cycle.
 Every output file's bytes, stdout, stderr and exit code are compared, so
 a ``.part`` file left behind shows up as a difference. The CLI writes
 every round of every point with ``repr``, so identical files also mean
@@ -75,7 +78,7 @@ def write_populations(dest: Path) -> dict[str, Path]:
     tiny_bids["config"]["initial_bid"] = 1e-3
     paths["tiny bids"] = dest / "tiny-bids.json"
     paths["tiny bids"].write_text(json.dumps(tiny_bids), encoding="utf-8")
-    for max_iter in (40, 66, 68, 200):
+    for max_iter in (37, 38, 40, 200):
         capped = workloads.scenario_doc("canonical-plain", fa)
         capped["config"]["max_iter"] = max_iter
         paths[f"max_iter {max_iter}"] = dest / f"max-iter-{max_iter}.json"
@@ -91,6 +94,7 @@ def cases(populations: dict[str, Path]) -> dict[str, list[str]]:
     return {
         **runs,
         "run --R 7.5,30": ["run", "--config", canonical, "--out", "out", "--R", "7.5,30"],
+        "run --R 9,48,57": ["run", "--config", canonical, "--out", "out", "--R", "9,48,57"],
         "run --R 2.7e9": ["run", "--config", canonical, "--out", "out", "--R", "2.7e9"],
         "run --R 60,3e9": ["run", "--config", canonical, "--out", "out", "--R", "60,3e9"],
         "run tiny bids --R 60,1.39e9": ["run", "--config", str(populations["tiny bids"]), "--out", "out",
