@@ -27,11 +27,13 @@ files, nothing of the failing point and no ``summary.csv``.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
+from .protocol import _MEMO_FLOATS
 from .scenario_io import load_scenario
 from .sim import run_sweep
 from .utility import sigmoid_from_qoe
@@ -65,25 +67,20 @@ def _round_writer(write, user_ids):
     # once a plain run's price repeats bit for bit, its memo hands back the
     # same price, bids and rates under a new n. So each round's rows are
     # kept as text without their leading "n," and a repeated round only
-    # joins them under its own n. The text is kept for at most 16 rounds
-    # and dropped after that, so memory stays flat however long the run
-    # and a cycle longer than 16 rounds formats every round. Prices, bids
-    # and rates are products and quotients of positive doubles, never
-    # -0.0 or NaN, so doubles that compare equal have the same bits and
-    # one cached text serves every equal key.
-    rows = {}
+    # joins them under its own n. The text of at most 16 rounds is kept,
+    # and of at most 4096 rows (``_MEMO_FLOATS``, as many as the run's memo
+    # holds floats: 4 rounds of 1000 users, none past 4096), evicting the
+    # least recently used round. So memory stays flat however long the
+    # run and the population, a cycle that fits is formatted once and a
+    # longer one every round. Prices, bids and rates are products and
+    # quotients of positive doubles, never -0.0 or NaN, so doubles that
+    # compare equal have the same bits and one cached text serves every
+    # equal key.
+    @functools.lru_cache(maxsize=min(16, _MEMO_FLOATS // len(user_ids)))
+    def rows(price, bids, rates):
+        return ("", *[f"{price!r},{uid},{bid!r},{rate!r}\n" for uid, bid, rate in zip(user_ids, bids, rates)])
 
-    def on_round(rec):
-        key = (rec.price, rec.bids, rec.rates)
-        text = rows.get(key)
-        if text is None:
-            if len(rows) >= 16:
-                rows.clear()
-            text = rows[key] = ("", *[f"{rec.price!r},{uid},{bid!r},{rate!r}\n"
-                                      for uid, bid, rate in zip(user_ids, rec.bids, rec.rates)])
-        write(f"{rec.n},".join(text))
-
-    return on_round
+    return lambda rec: write(f"{rec.n},".join(rows(rec.price, rec.bids, rec.rates)))
 
 
 def _run_point(scenario, r: float, out: Path) -> list[str]:

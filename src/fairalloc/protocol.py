@@ -46,14 +46,18 @@ round again, reuses them instead of solving again (a memo function in
 the sense of D. Michie, Nature 218, 1968); a damped run clamps the
 remembered bids as it would fresh ones. Eight of the nine capped runs
 above repeat a price bit for bit, and from then on no round is solved.
-The memo is cleared once it holds ``_MEMO_FLOATS`` (4096) floats, so a
-run remembers at most that many however long it is (one round's for a
-population of more than 2048 users); a cycle with more prices than the
-memo has entries is solved round by round.
+The memo is a ``functools.lru_cache`` of ``_MEMO_FLOATS`` (4096) floats:
+once full, it evicts the least recently used price, so a run remembers
+at most that many floats however long it is (one round's for a
+population of more than 2048 users). LRU is a stack algorithm (Mattson
+et al., IBM Syst. J. 9, 1970), so a cycle with no more prices than the
+memo has entries is solved once, wherever the memo filled up, and a
+longer one is solved round by round.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import operator
@@ -75,7 +79,7 @@ __all__ = [
 
 CONVERGED = "converged"
 ITERATION_CAP = "iteration_cap_reached"
-_MEMO_FLOATS = 4096  # a run's memo of rates and bids per price is cleared once it holds this many floats
+_MEMO_FLOATS = 4096  # a run's memo of rates and bids per price holds at most this many floats
 
 
 @dataclass(frozen=True)
@@ -180,12 +184,12 @@ def run_allocation(
     rounds. Each round's ``IterationRecord`` is passed to
     ``on_round(record)`` as soon as it is made; the result keeps only the
     last. To keep every round, collect them: ``on_round=rounds.append``.
-    A round whose price an earlier round announced takes that round's
-    rates and undamped bids from the run's memo instead of solving them
-    again, damped or not: the records, their ``on_round`` calls, the
-    status and ``iterations_used`` are the ones solving would give, and
-    an undamped round shares its ``bids`` and ``rates`` tuples with the
-    round that computed them.
+    A round whose price is still in the run's memo, which keeps the most
+    recently used prices, takes its rates and undamped bids from there
+    instead of solving them again, damped or not: the records, their
+    ``on_round`` calls, the status and ``iterations_used`` are the ones
+    solving would give, and an undamped round shares its ``bids`` and
+    ``rates`` tuples with the round that computed them.
 
     Two cell rates have no equilibrium and are rejected up front. One below
     the users' pinned floor (each user holds at least ``bracket_lo``), and
@@ -221,16 +225,15 @@ def run_allocation(
             )
     decay = config.decay
     bids = (config.initial_bid,) * len(utilities)
-    memo, entries = {}, _MEMO_FLOATS // (2 * len(utilities))  # price -> (rates, undamped bids)
+
+    @functools.lru_cache(maxsize=max(1, _MEMO_FLOATS // (2 * len(utilities))))
+    def respond(price):
+        rates = tuple([solve_user_rate(u, price, solver) for u in utilities])
+        return rates, tuple([price * r for r in rates])
+
     for n in range(1, config.max_iter + 1):
         price = sum(bids) / total_rate
-        known = memo.get(price)
-        if known is None:
-            if len(memo) >= entries:
-                memo.clear()
-            rates = tuple([solve_user_rate(u, price, solver) for u in utilities])
-            known = memo[price] = rates, tuple([price * r for r in rates])
-        rates, new_bids = known
+        rates, new_bids = respond(price)
         if decay is not None:
             # the envelope cuts a move larger than dw(n) back to old_bid +/- dw(n)
             limit = decay.step_limit(n)

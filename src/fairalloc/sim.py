@@ -140,8 +140,10 @@ def find_nonconvergent_rate(
     where the loop gain g = 1 + p*D'(p*)/R at the equilibrium price p* has
     |g| > 1, which happens when p* lands on a sigmoid user's flat
     log-utility stretch, at rates below the users' summed inflection rates.
-    For the reference population |g| <= 0.72 at R = 100, 200, ..., 10000,
-    so the default upward search returns None; this is measured for that
+    For the reference population |g| <= 0.72 at R = 100, 200, ..., 10000
+    (``tests/test_sim.py::TestFindNonconvergentRate::
+    test_loop_gain_stays_within_the_documented_bound`` computes it), so the
+    default upward search returns None; this is measured for that
     population, not shown for every population.
     """
     plain_cfg = replace(scenario.config, decay=None)

@@ -103,6 +103,8 @@ class SigmoidUtility:
             raise ValueError("rate must be >= 0")
         ar = self.a * rate
         x = ar - self._ab
+        if x != x:  # inf - inf once both a*rate and a*b overflow
+            x = self.a * (rate - self.b)
         e = math.exp(-abs(x))
         growth = -math.expm1(-ar)
         return (e * growth if x < 0.0 else growth) / (1.0 + e)

@@ -1,5 +1,7 @@
 import json
+import math
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -167,6 +169,40 @@ class TestRun:
             _, rows = read_csv(tmp_path / str(n) / "summary.csv")
             assert {(row[5], row[6]) for row in rows} == {(str(n), "iteration_cap_reached")}
         assert peaks[1000] <= 1.2 * peaks[100]
+
+    def test_a_large_population_keeps_few_rounds_of_text(self, tmp_path):
+        # 1000 users drawn like the benchmark's crowd, at 0.9 times their
+        # summed inflection rates, where the run takes more than 16 rounds.
+        # Their rows are never reused, and text kept for 16 rounds whatever
+        # the population size peaked at 2.8x from 4 to 16 rounds; the writer
+        # now keeps at most 4096 rows' text, 4 rounds here, and peaks at
+        # about 1.04x.
+        rng = random.Random(1)
+        users = [{"id": f"u{i:04d}", "type": "sigmoid",
+                  "params": {"a": rng.uniform(0.5, 5.0), "b": rng.uniform(5.0, 30.0)}} if i % 2 == 0 else
+                 {"id": f"u{i:04d}", "type": "log",
+                  "params": {"k": math.exp(rng.uniform(math.log(0.5), math.log(15.0))), "r_max": 100.0}}
+                 for i in range(1000)]
+        total_rate = 0.9 * sum(u["params"]["b"] for u in users if u["type"] == "sigmoid")
+
+        def run(n, out):
+            doc = {"name": "crowd", "users": users, "R_values": [total_rate], "config": {"max_iter": n}}
+            cfg = tmp_path / f"{out}.json"
+            cfg.write_text(json.dumps(doc))
+            return main(["run", "--config", str(cfg), "--out", str(tmp_path / out)])
+
+        assert run(4, "warm") == 0  # one-time allocations stay out of the peaks
+        peaks = {}
+        for n in (4, 16):
+            tracemalloc.start()
+            try:
+                assert run(n, str(n)) == 0
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            _, rows = read_csv(tmp_path / str(n) / "summary.csv")
+            assert {(row[5], row[6]) for row in rows} == {(str(n), "iteration_cap_reached")}
+        assert peaks[16] <= 1.25 * peaks[4]
 
     def test_rate_override_replaces_config_values(self, tmp_path):
         cfg = write_config(tmp_path)

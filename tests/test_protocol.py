@@ -390,9 +390,10 @@ class TestCycleReplay:
     """A round whose price came before takes its rates and bids from the run's memo instead of solving again.
 
     A round's rates depend on its price alone, so the memo must stream
-    exactly the rounds the loop computes one by one, and a plain run
-    whose price repeats bit for bit solves no round after the first
-    repeat while its cycle's prices stay in the memo.
+    exactly the rounds the loop computes one by one. The memo evicts its
+    least recently used price, so a plain run whose price repeats bit for
+    bit with a period no longer than the memo's entries solves no round
+    after the first repeat.
     """
 
     def test_default_sweep_streams_the_computed_rounds(self, solves):
@@ -407,8 +408,8 @@ class TestCycleReplay:
         # A capped point whose bids first repeat at round n solves the n - 1
         # rounds before it. A plain round's bids are a function of its price,
         # so no price repeats before the bids do; on this grid the price
-        # repeats in that same round, with no memo clear in between. Every
-        # other point solves every round.
+        # repeats in that same round, and every period fits in the memo's
+        # 341 entries. Every other point solves every round.
         utilities = canonical_scenario().utilities
         capped = repeated = 0
         for r in range(2, 121):
@@ -446,11 +447,27 @@ class TestCycleReplay:
         assert streamed(utilities, 5.0, config) == (rounds, status, 200)
         assert len(solves) == 6 * 37
 
+    @pytest.mark.parametrize("copies,first", [(120, 38), (100, 41)])
+    def test_a_cycle_that_fits_the_memo_is_solved_once(self, solves, copies, first):
+        # copies of the six users at R = copies x 5 repeat their bids first at
+        # round 38 (120 copies, memo of 2 entries) or 41 (100 copies, 3
+        # entries), both with period 2. The period fits, so no round from
+        # the first repeat on is solved, wherever the memo filled up.
+        utilities = canonical_scenario().utilities * copies
+        config = AllocationConfig(max_iter=60)
+        rounds, status = plain_rounds(utilities, 5.0 * copies, config)
+        solves.clear()
+        records = []
+        result = run_allocation(utilities, 5.0 * copies, config, records.append)
+        assert [(rec.n, rec.price, rec.bids, rec.rates) for rec in records] == rounds
+        assert (result.status, first_repeat(records, config.initial_bid)) == (status, (first, 2))
+        assert len(solves) == len(utilities) * (first - 1)
+
     def test_a_cycle_too_long_to_buffer_is_solved_again(self, solves):
         # 120 copies of the six users at R = 120 x 40 cycle exactly with
         # period 12 from round 91, but the memo's 4096 floats hold only two
-        # rounds of 720 users, so it is cleared before a price comes round
-        # again and every round is solved.
+        # rounds of 720 users, so each price is evicted before it comes
+        # round again and every round is solved.
         utilities = canonical_scenario().utilities * 120
         config = AllocationConfig(max_iter=200)
         rounds, status = plain_rounds(utilities, 4800.0, config)
@@ -461,9 +478,9 @@ class TestCycleReplay:
 
     def test_the_memo_stays_bounded_however_long_the_run(self):
         # R = 20 cycles to the cap with no exact repeat, so the memo fills
-        # and is cleared every 341 rounds. A run peaks at about 115 KB at
-        # 1000 rounds and at 2000 (1.01x); a memo that is never cleared
-        # grows with the run.
+        # at round 341 and evicts a price every round from then on. A run
+        # peaks at about 115 KB at 1000 rounds and at 2000 (1.01x); an
+        # unbounded memo grows with the run.
         utilities = canonical_scenario().utilities
         # one-time allocations, a full memo's among them, stay out of the peaks
         run_allocation(utilities, 20.0, AllocationConfig(max_iter=400))

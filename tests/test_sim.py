@@ -16,7 +16,7 @@ from fairalloc import (
     run_allocation,
     run_sweep,
 )
-from late_rounds import late_step
+from late_rounds import equilibrium_price, late_step, loop_gain
 
 
 class TestScenario:
@@ -287,3 +287,10 @@ class TestFindNonconvergentRate:
         # the undamped loop is a contraction well above the summed
         # sigmoid inflection rates (60 here); upward searches come back empty
         assert find_nonconvergent_rate(canonical_scenario(), start=100.0, step=100.0, limit=1000.0) is None
+
+    def test_loop_gain_stays_within_the_documented_bound(self):
+        # the docstring's and README's |g| <= 0.72 over the default search grid;
+        # the largest is 0.7155, at R = 100
+        sc = canonical_scenario()
+        gains = [loop_gain(sc, r, equilibrium_price(sc, r)) for r in (100.0 * k for k in range(1, 101))]
+        assert max(map(abs, gains)) <= 0.72

@@ -74,6 +74,12 @@ class TestValue:
             u = table_utilities[name]
             assert u.value(10.0 * u.b) > 0.999
 
+    @pytest.mark.parametrize("a,b", [(1e200, 1e200), (10**200, 10**200)])
+    def test_sigmoid_value_where_a_times_rate_and_a_times_b_overflow(self, a, b):
+        # a*rate - a*b is inf - inf here; the satisfaction is still 0, 1/2 and 1
+        u = SigmoidUtility(a=a, b=b)
+        assert [u.value(r) for r in (1e199, 1e200, 1e201, math.inf)] == [0.0, 0.5, 1.0, 1.0]
+
     def test_negative_rate_rejected(self, table_utilities):
         for u in table_utilities.values():
             with pytest.raises(ValueError):

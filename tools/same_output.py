@@ -8,9 +8,9 @@ once as scenario files, and both trees run the same commands on the same
 files, each as ``python -m fairalloc.cli`` with ``PYTHONPATH=<tree>/src``:
 ``run`` on every population, ``run --R 7.5,30``, ``run --R 9,48,57``
 (exact cycles that first repeat late, at rounds 351, 260 and 595, with
-periods 4, 18 and 14: R = 57's repeat comes after the run's memo has been
-cleared once, and R = 48's period is longer than the CLI writer's
-16-round text cache), ``run --R 2.7e9`` (roots
+periods 4, 18 and 14: R = 57's repeat comes after the run's memo has
+filled and evicted prices, and R = 48's period is longer than the 16
+rounds of text the CLI writer keeps), ``run --R 2.7e9`` (roots
 near the demand ceiling, far past the fallback bisection's first upper
 bracket: the probes certify every round's roots, and only the ceiling's
 root at the bracket cap is reached by doubling), ``curves``, and
@@ -25,6 +25,10 @@ population with the unknown key ``config.solver.rel_tol`` (exit 2).
 ``max_iter`` is 37, 38, 40 and 200. R = 5's price first repeats at
 round 38, so its runs end on the last round solved, on the first round
 taken from the run's memo, just after it and well into the cycle.
+It also runs on 120 copies of the canonical users at R = 600 with
+``max_iter`` 60: the memo holds 2 prices of 720 users and the writer the
+text of 5 rounds, and from round 38 on every round repeats one of the
+period-2 cycle, so both small caches serve the run's last 23 rounds.
 Every output file's bytes, stdout, stderr and exit code are compared, so
 a ``.part`` file left behind shows up as a difference. The CLI writes
 every round of every point with ``repr``, so identical files also mean
@@ -61,8 +65,9 @@ import workloads  # noqa: E402
 def write_populations(dest: Path) -> dict[str, Path]:
     """Write each benchmark population and altered canonical ones as scenario files; return the paths.
 
-    One has a key the reader refuses, one initial bids of 1e-3, and four a
-    smaller ``max_iter`` each.
+    One has a key the reader refuses, one initial bids of 1e-3, four a
+    smaller ``max_iter`` each, and one 120 copies of the users at R = 600
+    with ``max_iter`` 60.
     """
     fa = workloads.import_fairalloc()
     paths = {}
@@ -83,6 +88,11 @@ def write_populations(dest: Path) -> dict[str, Path]:
         capped["config"]["max_iter"] = max_iter
         paths[f"max_iter {max_iter}"] = dest / f"max-iter-{max_iter}.json"
         paths[f"max_iter {max_iter}"].write_text(json.dumps(capped), encoding="utf-8")
+    copies = workloads.scenario_doc("canonical-plain", fa)
+    copies["users"] = [{**user, "id": f"{user['id']}-{k}"} for k in range(120) for user in copies["users"]]
+    copies["R_values"], copies["config"]["max_iter"] = [600.0], 60
+    paths["120 copies"] = dest / "copies.json"
+    paths["120 copies"].write_text(json.dumps(copies), encoding="utf-8")
     return paths
 
 
