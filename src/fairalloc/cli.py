@@ -78,7 +78,8 @@ def _round_writer(write, user_ids):
     # equal key.
     @functools.lru_cache(maxsize=min(16, _MEMO_FLOATS // len(user_ids)))
     def rows(price, bids, rates):
-        return ("", *[f"{price!r},{uid},{bid!r},{rate!r}\n" for uid, bid, rate in zip(user_ids, bids, rates)])
+        price = repr(price)  # once per round, not once per row
+        return ("", *[f"{price},{uid},{bid!r},{rate!r}\n" for uid, bid, rate in zip(user_ids, bids, rates)])
 
     return lambda rec: write(f"{rec.n},".join(rows(rec.price, rec.bids, rec.rates)))
 

@@ -13,7 +13,9 @@ Round n with outstanding bids w_i(n):
    the iteration cap.
 
 Bids start at ``initial_bid``, and round one's moves are measured from
-it. Each round is one ``IterationRecord``. ``run_allocation`` hands each
+it. Each round is one ``IterationRecord``, a named tuple
+``(n, price, bids, rates)``: its fields cannot be assigned, and it
+unpacks as ``n, price, bids, rates = record``. ``run_allocation`` hands each
 to an ``on_round`` callback as soon as it is made and keeps only the
 last, so a run holds one round however many it takes, besides its
 bounded memo of rates per price (see below). The final rates, bids and price
@@ -62,6 +64,7 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .solver import HI_CAP, SolverConfig, solve_user_rate
 from .utility import positive_finite
@@ -126,8 +129,7 @@ class AllocationConfig:
         positive_finite("initial_bid", self.initial_bid)
 
 
-@dataclass(frozen=True)
-class IterationRecord:
+class IterationRecord(NamedTuple):
     """One round: the announced price plus every user's response to it."""
 
     n: int

@@ -60,6 +60,7 @@ BRACKET_HI = 1e3  # first upper bracket of the fallback bisection, doubled while
 HI_CAP = 1e9  # largest rate a probe may certify or the upper bracket grow to
 REL_TOL = 1e-10  # bracket width, relative to its midpoint, at which bisection stops
 PROBE_STEP = 1e-12  # relative distance of each probe from the estimated root
+_PROBE_LO, _PROBE_HI = 1.0 - PROBE_STEP, 1.0 + PROBE_STEP  # the probes' factors, computed once
 
 
 class NoRootError(RuntimeError):
@@ -97,7 +98,7 @@ def solve_user_rate(u: UtilityFunction, price: float, config: SolverConfig = _DE
         raise ValueError(f"price must be positive and finite, got {price}")
     lo = config.bracket_lo
     guess = u.estimate_rate(price)
-    x, y = guess * (1.0 - PROBE_STEP), guess * (1.0 + PROBE_STEP)
+    x, y = guess * _PROBE_LO, guess * _PROBE_HI
     if lo < x < y <= HI_CAP and u.log_slope(x) >= price > u.log_slope(y):
         return 0.5 * (x + y)
     if u.log_slope(lo) < price:

@@ -30,8 +30,8 @@ code that takes one float. ``log_slope`` is the solver's inner loop; its
 rounded value never increases from one double to the next, which the
 solver relies on to certify the root between two probes.
 ``estimate_rate(price)`` is a cheap estimate of the rate where
-``log_slope`` equals ``price``, closed form for a sigmoid and a few
-Newton steps for a log curve. It may be inf. When the solver's probes
+``log_slope`` equals ``price``, closed form for a sigmoid and at most
+six Newton steps for a log curve. It may be inf. When the solver's probes
 either side of it certify the root, the solver returns it to within
 ``REL_TOL``, so the estimate sets the returned double; a poor estimate
 costs its two probes, and the solver falls back to plain bisection.
@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 __all__ = ["SigmoidUtility", "LogUtility", "UtilityFunction", "sigmoid_from_qoe"]
 
 _EXP_MAX = 709.0  # exp overflows just past this in double precision
-_NEWTON_STEPS = 6  # enough for full precision from LogUtility.estimate_rate's starts
+_NEWTON_STEPS = 6  # at most this many: enough for full precision from LogUtility.estimate_rate's starts
 _TINY = sys.float_info.min  # below this a*r or k*r loses bits: log_slope returns its 1/r limit
 
 
@@ -88,6 +88,7 @@ class SigmoidUtility:
         object.__setattr__(self, "_ab", ab)
         object.__setattr__(self, "_t", t)
         object.__setattr__(self, "_switch", 700.0 if t >= sys.float_info.min else 38.0)
+        object.__setattr__(self, "_num", self.a * (1.0 + t))  # the slope's numerator, a(1 + e^(-ab))
         object.__setattr__(self, "c", 1.0 + t)
         object.__setattr__(self, "d", t / (1.0 + t))
 
@@ -139,7 +140,7 @@ class SigmoidUtility:
         else:
             x = ar - self._ab
             denom = (math.exp(x) if x <= _EXP_MAX else math.inf) + (1.0 - self._t)
-        return self.a * (1.0 + self._t) / denom
+        return self._num / denom
 
     # log_slope(r) = p in w = expm1(ar) is the quadratic
     #     t w^2 + (1 + t - c) w - c = 0,   c = a(1 + t) / p,
@@ -152,7 +153,7 @@ class SigmoidUtility:
     def estimate_rate(self, price: float) -> float:
         """Closed-form rate where ``log_slope`` equals ``price`` > 0, exact up to rounding; may be inf."""
         t = self._t
-        c = self.a * (1.0 + t) / price
+        c = self._num / price
         q = c - 1.0 - t
         s = math.hypot(q, 2.0 * math.sqrt(t * c))
         if q > 0.0:
@@ -178,6 +179,7 @@ class LogUtility:
             raise ValueError(f"k * r_max must be positive and finite, got k={self.k}, r_max={self.r_max}")
         # the log1p ``value`` uses, so that U(r_max) is exactly 1
         object.__setattr__(self, "_denom", math.log1p(kr_max))
+        object.__setattr__(self, "_log_k", math.log(self.k))  # estimate_rate's log(k), computed once
 
     def value(self, rate: float) -> float:
         """Satisfaction at ``rate`` >= 0; exactly 0 at rate 0 and exactly 1 at r_max."""
@@ -198,16 +200,22 @@ class LogUtility:
     # by Newton steps on v = log w: f(v) = e^v + v - log(k/p) is convex
     # and increasing, and both starts (log of the target from 1 up, the
     # target itself below 1) have f >= 0, so the iterates fall
-    # monotonically onto the root.
+    # monotonically onto the root. The loop stops at the first step that
+    # leaves v unchanged, whose e^v is then the answer every later step
+    # would give too, and otherwise after _NEWTON_STEPS steps: in rounding
+    # some estimates end alternating between two neighbouring doubles.
 
     def estimate_rate(self, price: float) -> float:
         """Rate where ``log_slope`` equals ``price`` > 0, to within rounding; may be inf."""
-        target = math.log(self.k) - math.log(price)
+        target = self._log_k - math.log(price)
         v = math.log(target) if target >= 1.0 else target
-        for _ in range(_NEWTON_STEPS):
-            e = math.exp(v)
-            v -= (e + v - target) / (e + 1.0)
         w = math.exp(v)
+        for _ in range(_NEWTON_STEPS):
+            step = v - (w + v - target) / (w + 1.0)
+            if step == v:  # a fixed point: every later step would repeat this one
+                break
+            v = step
+            w = math.exp(v)
         return math.expm1(w) / self.k if w <= _EXP_MAX else math.inf
 
 

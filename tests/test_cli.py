@@ -12,6 +12,7 @@ import pytest
 from fairalloc import (
     AllocationConfig,
     ExponentialDecay,
+    IterationRecord,
     canonical_scenario,
     cli,
     run_allocation,
@@ -394,6 +395,34 @@ class TestRun:
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == code
         assert "stopped after round 3" in capsys.readouterr().err
         assert sorted(p.name for p in out.iterdir()) == ["traj_R30.csv"]
+
+
+class TestRoundWriter:
+    def test_text_matches_a_row_by_row_reference(self):
+        # prices that print in exponent form, and a third round repeating
+        # the first, which the writer's cache serves: each distinct round's
+        # price is formatted once, not once per row
+        class CountedPrice(float):
+            reprs = 0
+
+            def __repr__(self):
+                CountedPrice.reprs += 1
+                return float.__repr__(self)
+
+        user_ids = ("Sig1", "Log1", "Log2")
+        first = (3e-05, (1.5e-05, 2e-300, 0.1), (0.5, 1e-295, 3333.3333333333335))
+        rounds = [IterationRecord(1, CountedPrice(first[0]), *first[1:]),
+                  IterationRecord(2, CountedPrice(1e16), (1e16, 5e-324, 2.5e17), (1.0, 5e-324, 25.0)),
+                  IterationRecord(3, CountedPrice(first[0]), *first[1:])]
+        written = []
+        on_round = cli._round_writer(written.append, user_ids)
+        for rec in rounds:
+            on_round(rec)
+        assert "".join(written) == "".join(
+            f"{n},{float(price)!r},{uid},{bid!r},{rate!r}\n"
+            for n, price, bids, rates in rounds for uid, bid, rate in zip(user_ids, bids, rates))
+        assert "3e-05" in written[0] and "1e+16" in written[1]
+        assert CountedPrice.reprs == 2
 
 
 class TestCurves:

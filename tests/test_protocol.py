@@ -9,6 +9,7 @@ from fairalloc import (
     ITERATION_CAP,
     AllocationConfig,
     ExponentialDecay,
+    IterationRecord,
     LogUtility,
     RationalDecay,
     SigmoidUtility,
@@ -384,6 +385,35 @@ class TestRunAllocation:
     def test_accepts_a_numpy_integer_max_iter(self):
         res = run_allocation([LogUtility(k=3.0, r_max=100.0)], 10.0, AllocationConfig(max_iter=np.int64(1)))
         assert res.iterations_used == 1
+
+
+class TestIterationRecord:
+    """A round is a named tuple ``(n, price, bids, rates)``."""
+
+    def test_fields_cannot_be_assigned(self):
+        record = first_round(canonical_scenario().utilities, 60.0)
+        with pytest.raises(AttributeError):
+            record.price = 2.0
+
+    def test_fields_unpack_in_order(self):
+        record = first_round(canonical_scenario().utilities, 60.0)
+        assert IterationRecord._fields == ("n", "price", "bids", "rates")
+        n, price, bids, rates = record
+        assert (n, price) == (record.n, record.price) == (1, 1.0)
+        assert (bids, rates) == (record.bids, record.rates)
+
+    def test_a_memo_hit_shares_the_computed_tuples(self):
+        # R = 5's price repeats from round 38 on with period 2; each repeat
+        # hands back the very tuples of the round that solved that price
+        records = []
+        run_allocation(canonical_scenario().utilities, 5.0, AllocationConfig(max_iter=60), records.append)
+        latest, hits = {}, 0
+        for rec in records:
+            if rec.price in latest:
+                assert rec.bids is latest[rec.price].bids and rec.rates is latest[rec.price].rates, rec.n
+                hits += 1
+            latest[rec.price] = rec
+        assert hits == 60 - 37
 
 
 class TestCycleReplay:

@@ -1,4 +1,5 @@
 import math
+import random
 import sys
 
 import numpy as np
@@ -168,6 +169,76 @@ class TestEstimateRate:
     )
     def test_extreme_prices_give_a_number_not_an_error(self, u, price, expected):
         assert u.estimate_rate(price) == pytest.approx(expected, rel=1e-12)
+
+
+def full_newton_iterates(u, price):
+    """Every iterate v of a log curve's estimate, running all six Newton steps and taking log(k) per call."""
+    target = math.log(u.k) - math.log(price)
+    iterates = [math.log(target) if target >= 1.0 else target]
+    for _ in range(6):
+        e = math.exp(iterates[-1])
+        iterates.append(iterates[-1] - (e + iterates[-1] - target) / (e + 1.0))
+    return iterates
+
+
+def per_call_sigmoid_log_slope(u, rate):
+    """``SigmoidUtility.log_slope`` with its numerator a(1 + t) formed on every call."""
+    ar = u.a * rate
+    if ar < TINY:
+        return 1.0 / rate
+    if ar <= u._switch:
+        denom = u._t * math.expm1(ar) - math.expm1(-ar)
+    else:
+        x = ar - u._ab
+        denom = (math.exp(x) if x <= 709.0 else math.inf) + (1.0 - u._t)
+    return u.a * (1.0 + u._t) / denom
+
+
+def per_call_sigmoid_estimate(u, price):
+    """``SigmoidUtility.estimate_rate`` with its numerator a(1 + t) formed on every call."""
+    t = u._t
+    c = u.a * (1.0 + t) / price
+    q = c - 1.0 - t
+    s = math.hypot(q, 2.0 * math.sqrt(t * c))
+    if q > 0.0:
+        log_w = math.log(0.5 * (q + s)) + u._ab
+        return (log_w + math.log1p(math.exp(-log_w))) / u.a
+    if s == q:
+        return math.inf
+    return math.log1p(2.0 * c / (s - q)) / u.a
+
+
+class TestPrecomputedForms:
+    """Each method returns the same double as the form that recomputes everything on every call."""
+
+    def test_log_estimate_stops_at_its_fixed_point_with_the_same_double(self):
+        # the loop leaves at the first step that keeps v, and every later
+        # step would repeat that one; the rest run all six steps, some of
+        # them ending on two neighbouring doubles in turn
+        rng = random.Random(2024)
+        early = alternating = 0
+        for _ in range(400):
+            u = LogUtility(k=math.exp(rng.uniform(math.log(1e-3), math.log(1e3))), r_max=100.0)
+            price = u.log_slope(math.exp(rng.uniform(math.log(1e-3), math.log(1e4))))
+            v = full_newton_iterates(u, price)
+            w = math.exp(v[-1])
+            assert u.estimate_rate(price) == (math.expm1(w) / u.k if w <= 709.0 else math.inf), (u, price)
+            early += any(a == b for a, b in zip(v, v[1:]))
+            alternating += v[-1] == v[-3] != v[-2]
+        assert early > 0 and alternating > 0, (early, alternating)
+
+    @pytest.mark.parametrize("integer", [False, True])
+    def test_sigmoid_numerator_formed_once_gives_the_same_doubles(self, integer):
+        rng = random.Random(7)
+        for _ in range(200):
+            a, b = math.exp(rng.uniform(-7.0, 7.0)), math.exp(rng.uniform(-3.0, 7.0))
+            u = SigmoidUtility(a=max(1, round(a)) if integer else a, b=b)
+            for _ in range(5):
+                rate = math.exp(rng.uniform(-8.0, 9.0))
+                price = per_call_sigmoid_log_slope(u, rate)
+                assert u.log_slope(rate) == price, (u, rate)
+                if price > 0.0:
+                    assert u.estimate_rate(price) == per_call_sigmoid_estimate(u, price), (u, price)
 
 
 class TestQoeFit:
