@@ -1,19 +1,20 @@
 """User satisfaction curves for rate allocation.
 
 Two normalized families, both mapping a nonnegative rate to a
-satisfaction level with U(0) = 0 and supremum 1:
+satisfaction level with U(0) = 0, increasing in the rate:
 
 sigmoid
     U(r) = c * (1 / (1 + exp(-a(r - b))) - d)
     with c = (1 + exp(ab)) / exp(ab) and d = 1 / (1 + exp(ab)).
-    S-shaped with inflection at r = b; models rate-sensitive real-time
-    traffic (VoIP, video streaming) that is near useless below its
-    inflection rate.
+    S-shaped with inflection at r = b and supremum 1; models
+    rate-sensitive real-time traffic (VoIP, video streaming) that is near
+    useless below its inflection rate.
 
 logarithmic
     U(r) = log(1 + k r) / log(1 + k r_max)
-    Concave, reaches 1 at r = r_max; models elastic delay-tolerant
-    traffic (file transfer) where any extra rate helps a little.
+    Concave and unbounded: it reaches 1 at r = r_max and keeps growing
+    past it; models elastic delay-tolerant traffic (file transfer) where
+    any extra rate helps a little.
 
 The allocation algorithm only ever consumes the slope of log U, which
 for both families is strictly positive and strictly decreasing on

@@ -226,7 +226,12 @@ class TestRunSweep:
         # tiny initial bids price R = 1.39e9's first round below every log user's slope at the bracket cap
         (canonical_scenario(r_values=(60.0, 1.39e9), config=AllocationConfig(initial_bid=0.001)),
          NoRootError, "log-slope still above price 4.316546762589928e-12 at rate 1000000000.0"),
-    ], ids=["above-the-ceiling", "round-priced-too-low"])
+        # R = 5e8 is HI_CAP / 2, where the demand ceiling is not computed; the
+        # solver's raise is then the only guard (returning HI_CAP instead
+        # reports converged after round 1 or 2 with the budget far from clear)
+        (canonical_scenario(r_values=(60.0, 5e8), config=AllocationConfig(initial_bid=0.001)),
+         NoRootError, "log-slope still above price 1.2e-11 at rate 1000000000.0"),
+    ], ids=["above-the-ceiling", "round-priced-too-low", "round-priced-too-low-without-ceiling"])
     def test_passes_allocation_failures_on_unchanged(self, scenario, error, message):
         with pytest.raises(error) as caught:
             run_sweep(scenario)
@@ -294,3 +299,14 @@ class TestFindNonconvergentRate:
         sc = canonical_scenario()
         gains = [loop_gain(sc, r, equilibrium_price(sc, r)) for r in (100.0 * k for k in range(1, 101))]
         assert max(map(abs, gains)) <= 0.72
+
+    def test_default_sweep_loop_gains_match_the_documented_bounds(self):
+        # README: every settled point of the default sweep has |g| <= 0.92 and
+        # every capped one |g| > 2.3; the extremes are 0.9177 at R = 65 and
+        # 2.3475 at R = 10
+        sc = canonical_scenario()
+        gains = {r: abs(loop_gain(sc, r, equilibrium_price(sc, r))) for r in sc.r_values}
+        settled = {r for r in sc.r_values if run_allocation(sc.utilities, r, sc.config).converged}
+        assert settled == {30.0, 35.0, *(5.0 * k for k in range(12, 21))}
+        assert max(gains[r] for r in settled) <= 0.92
+        assert min(gains[r] for r in gains.keys() - settled) > 2.3

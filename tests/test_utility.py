@@ -65,6 +65,13 @@ class TestValue:
         for name in ("Log1", "Log2", "Log3"):
             assert table_utilities[name].value(100.0) == 1.0
 
+    def test_log_value_passes_one_beyond_r_max(self, table_utilities):
+        # unlike a sigmoid, a log curve is unbounded: it passes 1 beyond r_max
+        assert table_utilities["Log1"].value(1000.0) == pytest.approx(1.3147417188544752, rel=1e-15)
+        for name in ("Log1", "Log2", "Log3"):
+            u = table_utilities[name]
+            assert 1.0 < u.value(101.0) < u.value(1000.0) < u.value(1e6)
+
     def test_sigmoid_half_satisfaction_at_inflection(self):
         u = SigmoidUtility(a=5.0, b=10.0)
         # c*(1/2 - d) = (1 - e^-50)/2, indistinguishable from 0.5

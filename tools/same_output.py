@@ -14,13 +14,15 @@ rounds of text the CLI writer keeps), ``run --R 2.7e9`` (roots
 near the demand ceiling, far past the fallback bisection's first upper
 bracket: the probes certify every round's roots, and only the ceiling's
 root at the bracket cap is reached by doubling), ``curves``, and
-``fit`` once succeeding and once failing. Three cases exit with an error:
+``fit`` once succeeding and once failing. Four cases exit with an error:
 ``run --R 60,3e9`` (exit 3 above the demand ceiling, after the 60 point's
-file is kept), ``run --R 60,1.39e9`` on a copy of the canonical
-population with ``initial_bid`` 1e-3 (exit 3 from a ``NoRootError`` in
-the 1.39e9 point's first round, whose price is below every log user's
-slope at the bracket cap) and ``run`` on a copy of the canonical
-population with the unknown key ``config.solver.rel_tol`` (exit 2).
+file is kept), ``run --R 60,1.39e9`` and ``run --R 60,5e8`` on a copy of
+the canonical population with ``initial_bid`` 1e-3 (exit 3 from a
+``NoRootError`` in the second point's first round, whose price is below
+every log user's slope at the bracket cap; the demand ceiling is computed
+for 1.39e9 and not for 5e8, which is ``HI_CAP / 2``) and ``run`` on a
+copy of the canonical population with the unknown key
+``config.solver.rel_tol`` (exit 2).
 ``run`` also runs on copies of the canonical population whose
 ``max_iter`` is 37, 38, 40 and 200. R = 5's price first repeats at
 round 38, so its runs end on the last round solved, on the first round
@@ -98,7 +100,7 @@ def write_populations(dest: Path) -> dict[str, Path]:
 
 def cases(populations: dict[str, Path]) -> dict[str, list[str]]:
     """Each case's CLI arguments; ``--out`` is relative to the case's own directory."""
-    canonical = str(populations["canonical-plain"])
+    canonical, tiny_bids = str(populations["canonical-plain"]), str(populations["tiny bids"])
     runs = {f"run {w}": ["run", "--config", str(p), "--out", "out"]
             for w, p in populations.items() if w != "tiny bids"}
     return {
@@ -107,8 +109,8 @@ def cases(populations: dict[str, Path]) -> dict[str, list[str]]:
         "run --R 9,48,57": ["run", "--config", canonical, "--out", "out", "--R", "9,48,57"],
         "run --R 2.7e9": ["run", "--config", canonical, "--out", "out", "--R", "2.7e9"],
         "run --R 60,3e9": ["run", "--config", canonical, "--out", "out", "--R", "60,3e9"],
-        "run tiny bids --R 60,1.39e9": ["run", "--config", str(populations["tiny bids"]), "--out", "out",
-                                        "--R", "60,1.39e9"],
+        "run tiny bids --R 60,1.39e9": ["run", "--config", tiny_bids, "--out", "out", "--R", "60,1.39e9"],
+        "run tiny bids --R 60,5e8": ["run", "--config", tiny_bids, "--out", "out", "--R", "60,5e8"],
         "curves": ["curves", "--config", canonical, "--out", "out"],
         "fit": ["fit", "200", "0.05", "740", "0.99"],
         "fit error": ["fit", "740", "0.05", "200", "0.99"],
