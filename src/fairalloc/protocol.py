@@ -50,8 +50,8 @@ remembered bids as it would fresh ones. Eight of the nine capped runs
 above repeat a price bit for bit, and from then on no round is solved.
 The memo is a ``functools.lru_cache`` of ``_MEMO_FLOATS`` (4096) floats:
 once full, it evicts the least recently used price, so a run remembers
-at most that many floats however long it is (one round's for a
-population of more than 2048 users). LRU is a stack algorithm (Mattson
+at most that many floats however long it is, and none for a population
+of more than 2048 users. LRU is a stack algorithm (Mattson
 et al., IBM Syst. J. 9, 1970), so a cycle with no more prices than the
 memo has entries is solved once, wherever the memo filled up, and a
 longer one is solved round by round.
@@ -228,7 +228,7 @@ def run_allocation(
     decay = config.decay
     bids = (config.initial_bid,) * len(utilities)
 
-    @functools.lru_cache(maxsize=max(1, _MEMO_FLOATS // (2 * len(utilities))))
+    @functools.lru_cache(maxsize=_MEMO_FLOATS // (2 * len(utilities)))
     def respond(price):
         rates = tuple([solve_user_rate(u, price, solver) for u in utilities])
         return rates, tuple([price * r for r in rates])

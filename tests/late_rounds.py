@@ -9,23 +9,24 @@ every round of one run, in order, as collected by
 ``run_allocation(..., on_round=rounds.append)``. ``plain_rounds`` is the
 undamped loop written out with every round solved, the reference that
 ``run_allocation``'s memo of rates per price must reproduce record for
-record.
+record; the figures of its orbits that depend on how the price is rounded
+are computed from it, not copied.
 """
 
 import math
 
-from fairalloc import CONVERGED, ITERATION_CAP, solve_user_rate
+from fairalloc import CONVERGED, ITERATION_CAP, IterationRecord, solve_user_rate
 
 
 def plain_rounds(utilities, total_rate: float, config) -> tuple[list, str]:
-    """Every round of the undamped loop as ``(n, price, bids, rates)``, computed one by one, and the status."""
+    """Every round of the undamped loop as an ``IterationRecord``, computed one by one, and the status."""
     bids = (config.initial_bid,) * len(utilities)
     rounds = []
     for n in range(1, config.max_iter + 1):
         price = sum(bids) / total_rate
         rates = tuple(solve_user_rate(u, price, config.solver) for u in utilities)
         new_bids = tuple(price * r for r in rates)
-        rounds.append((n, price, new_bids, rates))
+        rounds.append(IterationRecord(n, price, new_bids, rates))
         moved = max(abs(w - w_prev) for w, w_prev in zip(new_bids, bids))
         bids = new_bids
         if moved <= config.delta:
@@ -33,13 +34,17 @@ def plain_rounds(utilities, total_rate: float, config) -> tuple[list, str]:
     return rounds, ITERATION_CAP
 
 
-def first_repeat(rounds, initial_bid: float) -> tuple[int, int] | None:
-    """The first round whose bids equal an earlier round's (or the initial bids) bit for bit, and the lag between them."""
-    seen = {(initial_bid,) * len(rounds[0].bids): 0}
+def first_repeat(rounds) -> tuple[int, int] | None:
+    """The first round whose price equals an earlier round's bit for bit, and the lag between them.
+
+    An undamped round's bids are a function of its price, so from there
+    the run repeats every round with that lag, bids included.
+    """
+    seen = {}
     for rec in rounds:
-        if rec.bids in seen:
-            return rec.n, rec.n - seen[rec.bids]
-        seen[rec.bids] = rec.n
+        if rec.price in seen:
+            return rec.n, rec.n - seen[rec.price]
+        seen[rec.price] = rec.n
     return None
 
 

@@ -4,7 +4,6 @@ import os
 import random
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -119,14 +118,13 @@ class TestRun:
         assert [(row[0], row[1]) for row in rows] == [(repr(r), uid) for r, _ in calls for uid in ids]
         assert [int(row[5]) for row in rows] == [n for _, n in calls for _ in ids]
 
-    def test_memory_follows_one_point_not_the_sweep(self, tmp_path):
+    def test_memory_follows_one_point_not_the_sweep(self, tmp_path, traced_peak):
         # Every point below cycles to the cap, so each runs max_iter rounds.
-        # Holding all four trajectories at once peaked at 1.42x the one-point
-        # run. Each round now goes to its file as it is made, so neither run
-        # holds a trajectory. A one-point peak still varies with the point's
+        # Each round goes to its file as it is made, so no run holds a
+        # trajectory. A one-point peak still varies with the point's
         # rates, mostly through how many prices the run's memo holds: R = 5,
-        # whose price first repeats at round 38, peaks at about 70 KB and
-        # R = 10, which first repeats at round 193, at about 150 KB. So the
+        # whose price repeats early, peaks at about 70 KB and R = 10, which
+        # repeats late, at about 150 KB. So the
         # four-point run is held to the largest of its own one-point peaks;
         # it peaks at about 0.84x.
         cfg = write_config(tmp_path, r_values=(5.0,), config=AllocationConfig(max_iter=200))
@@ -138,22 +136,17 @@ class TestRun:
         assert run("5", "warm") == 0  # one-time allocations stay out of the peaks
         peaks = {}
         for rates in (*points, ",".join(points)):
-            tracemalloc.start()
-            try:
-                assert run(rates, rates) == 0
-                peaks[rates] = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            code, peaks[rates] = traced_peak(run, rates, rates)
+            assert code == 0
         _, rows = read_csv(tmp_path / "5,10,15,20" / "summary.csv")
         assert {row[6] for row in rows} == {"iteration_cap_reached"}
         assert peaks["5,10,15,20"] < 1.25 * max(peaks[r] for r in points)
 
-    def test_memory_stays_flat_as_rounds_grow(self, tmp_path):
+    def test_memory_stays_flat_as_rounds_grow(self, tmp_path, traced_peak):
         # R = 5 cycles to the cap, so the point runs exactly max_iter rounds.
-        # Writing the trajectory after the run peaked at 6.5x from 100 to
-        # 1000 rounds; written round by round, the run holds one round, the
-        # memo of the 37 prices before R = 5's first repeat and the writer's
-        # text cache, and peaks at about 1.02x.
+        # Written round by round, the run holds one round, the memo of the
+        # prices before R = 5's first repeat and the writer's text cache,
+        # and peaks at about 1.02x.
         def run(n, out):
             cfg = write_config(tmp_path, r_values=(5.0,), config=AllocationConfig(max_iter=n), name=f"{n}.json")
             return main(["run", "--config", str(cfg), "--out", str(tmp_path / out)])
@@ -161,23 +154,17 @@ class TestRun:
         assert run(100, "warm") == 0  # one-time allocations stay out of the peaks
         peaks = {}
         for n in (100, 1000):
-            tracemalloc.start()
-            try:
-                assert run(n, str(n)) == 0
-                peaks[n] = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            code, peaks[n] = traced_peak(run, n, str(n))
+            assert code == 0
             _, rows = read_csv(tmp_path / str(n) / "summary.csv")
             assert {(row[5], row[6]) for row in rows} == {(str(n), "iteration_cap_reached")}
         assert peaks[1000] <= 1.2 * peaks[100]
 
-    def test_a_large_population_keeps_few_rounds_of_text(self, tmp_path):
+    def test_a_large_population_keeps_few_rounds_of_text(self, tmp_path, traced_peak):
         # 1000 users drawn like the benchmark's crowd, at 0.9 times their
         # summed inflection rates, where the run takes more than 16 rounds.
-        # Their rows are never reused, and text kept for 16 rounds whatever
-        # the population size peaked at 2.8x from 4 to 16 rounds; the writer
-        # now keeps at most 4096 rows' text, 4 rounds here, and peaks at
-        # about 1.04x.
+        # Their rows are never reused; the writer keeps at most 4096 rows'
+        # text, 4 rounds here, and peaks at about 1.04x.
         rng = random.Random(1)
         users = [{"id": f"u{i:04d}", "type": "sigmoid",
                   "params": {"a": rng.uniform(0.5, 5.0), "b": rng.uniform(5.0, 30.0)}} if i % 2 == 0 else
@@ -195,12 +182,8 @@ class TestRun:
         assert run(4, "warm") == 0  # one-time allocations stay out of the peaks
         peaks = {}
         for n in (4, 16):
-            tracemalloc.start()
-            try:
-                assert run(n, str(n)) == 0
-                peaks[n] = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            code, peaks[n] = traced_peak(run, n, str(n))
+            assert code == 0
             _, rows = read_csv(tmp_path / str(n) / "summary.csv")
             assert {(row[5], row[6]) for row in rows} == {(str(n), "iteration_cap_reached")}
         assert peaks[16] <= 1.25 * peaks[4]

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,11 +30,36 @@ def max_move(bids, prev_bids):
 
 
 def streamed(utilities, total_rate, config=AllocationConfig()):
-    """Every round ``run_allocation`` streams, as ``(n, price, bids, rates)``, with its status and round count."""
+    """Every round ``run_allocation`` streams, with its status and round count."""
     rounds = []
     res = run_allocation(utilities, total_rate, config, rounds.append)
     assert res.trajectory == (rounds[-1],)
-    return [(r.n, r.price, r.bids, r.rates) for r in rounds], res.status, res.iterations_used
+    return rounds, res.status, res.iterations_used
+
+
+def memo_entries(utilities):
+    """How many prices a run of these users remembers: two floats per user per price."""
+    return protocol._MEMO_FLOATS // (2 * len(utilities))
+
+
+def lru_solves(utilities, rounds):
+    """The solves an undamped run of ``rounds`` makes, by its memo's LRU law.
+
+    Every round before the first repeated price is solved. From there the
+    run cycles: a period that fits the memo's entries is never solved
+    again, wherever the memo filled up, and a longer one is evicted before
+    it comes round, so every round is solved.
+    """
+    repeat = first_repeat(rounds)
+    if repeat and repeat[1] <= memo_entries(utilities):
+        return len(utilities) * (repeat[0] - 1)
+    return len(utilities) * len(rounds)
+
+
+# R = 5's undamped run from the default bids: the round whose price first
+# repeats an earlier one bit for bit, and the period from there. The
+# reference loop computes them, so they follow the price's rounding.
+R5_FIRST, R5_PERIOD = first_repeat(plain_rounds(canonical_scenario().utilities, 5.0, AllocationConfig())[0])
 
 
 @pytest.fixture
@@ -67,7 +91,7 @@ class TestShadowPrice:
         run_allocation([LogUtility(k=3.0, r_max=100.0)], 41.0, on_round=rounds.append)
         assert len(rounds) > 2
         for prev, rec in zip(rounds, rounds[1:]):
-            assert rec.price * 41.0 == pytest.approx(prev.bids[0], rel=1e-15)
+            assert rec.price * 41.0 == pytest.approx(prev.bids[0], rel=1e-15, abs=0)
 
     @pytest.mark.parametrize("rate", [0.0, -5.0, math.inf, math.nan, "30", True])
     def test_rejects_bad_total_rate(self, rate):
@@ -82,15 +106,15 @@ class TestUserRespond:
         u = LogUtility(k=0.5, r_max=100.0)
         price = 0.5 / (2.0 * math.log(2.0))  # the log-slope at r = 2
         rec = first_round([u], 10.0, initial_bid=10.0 * price)
-        assert rec.rates[0] == pytest.approx(2.0, rel=1e-9)
-        assert rec.bids[0] == pytest.approx(2.0 * price, rel=1e-9)
+        assert rec.rates[0] == pytest.approx(2.0, rel=1e-9, abs=0)
+        assert rec.bids[0] == pytest.approx(2.0 * price, rel=1e-9, abs=0)
 
     def test_sigmoid_at_inflection_price(self):
         u = SigmoidUtility(a=5.0, b=10.0)
         price = u.log_slope(10.0)
         rec = first_round([u], 10.0, initial_bid=10.0 * price)
-        assert rec.rates[0] == pytest.approx(10.0, rel=1e-9)
-        assert rec.bids[0] == pytest.approx(10.0 * price, rel=1e-9)
+        assert rec.rates[0] == pytest.approx(10.0, rel=1e-9, abs=0)
+        assert rec.bids[0] == pytest.approx(10.0 * price, rel=1e-9, abs=0)
 
     def test_bid_is_price_times_rate_exactly(self, table_utilities):
         for u in table_utilities.values():
@@ -137,6 +161,9 @@ class TestApplyDecay:
         damped, plain = [], []
         assert run_allocation(users, 60.0, wide, damped.append) == run_allocation(users, 60.0, on_round=plain.append)
         assert damped == plain
+
+    def test_default_constants(self):
+        assert (ExponentialDecay(), RationalDecay()) == (ExponentialDecay(l1=5.0, l2=10.0), RationalDecay(l3=5.0))
 
     def test_rational_envelope_shrinks_as_one_over_n(self):
         pol = RationalDecay(l3=6.0)
@@ -273,7 +300,7 @@ class TestRunAllocation:
         run_allocation(canonical_scenario().utilities, 50.0, AllocationConfig(decay=decay), rounds.append)
         assert rounds[0].price == 6 * 10.0 / 50.0
         for prev, rec in zip(rounds, rounds[1:]):
-            assert rec.price * 50.0 == pytest.approx(sum(prev.bids), rel=1e-15)
+            assert rec.price * 50.0 == pytest.approx(sum(prev.bids), rel=1e-15, abs=0)
 
     def test_trajectory_covers_every_round(self):
         # every round is streamed in order; the result keeps only the last
@@ -356,7 +383,7 @@ class TestRunAllocation:
         config = AllocationConfig(solver=SolverConfig(bracket_lo=1e-300))
         result = run_allocation([u], 5.0, config)
         assert result.status == CONVERGED
-        assert result.final_rates[0] == pytest.approx(5.0, rel=1e-8)
+        assert result.final_rates[0] == pytest.approx(5.0, rel=1e-8, abs=0)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -403,27 +430,26 @@ class TestIterationRecord:
         assert (bids, rates) == (record.bids, record.rates)
 
     def test_a_memo_hit_shares_the_computed_tuples(self):
-        # R = 5's price repeats from round 38 on with period 2; each repeat
-        # hands back the very tuples of the round that solved that price
+        # R = 5's price repeats from round R5_FIRST on; each repeat hands
+        # back the very tuples of the round that solved that price
         records = []
-        run_allocation(canonical_scenario().utilities, 5.0, AllocationConfig(max_iter=60), records.append)
+        run_allocation(canonical_scenario().utilities, 5.0, on_round=records.append)
         latest, hits = {}, 0
         for rec in records:
             if rec.price in latest:
                 assert rec.bids is latest[rec.price].bids and rec.rates is latest[rec.price].rates, rec.n
                 hits += 1
             latest[rec.price] = rec
-        assert hits == 60 - 37
+        assert hits == len(records) - (R5_FIRST - 1)
 
 
 class TestCycleReplay:
     """A round whose price came before takes its rates and bids from the run's memo instead of solving again.
 
     A round's rates depend on its price alone, so the memo must stream
-    exactly the rounds the loop computes one by one. The memo evicts its
-    least recently used price, so a plain run whose price repeats bit for
-    bit with a period no longer than the memo's entries solves no round
-    after the first repeat.
+    exactly the rounds the loop computes one by one, and ``lru_solves``
+    gives how many solves it makes. Only the first and last tests pin
+    figures of today's orbits: the sweep's solve count and README's cycles.
     """
 
     def test_default_sweep_streams_the_computed_rounds(self, solves):
@@ -435,78 +461,72 @@ class TestCycleReplay:
         assert len(solves) == 14_010
 
     def test_every_rate_of_the_dense_grid_streams_the_computed_rounds(self, solves):
-        # A capped point whose bids first repeat at round n solves the n - 1
-        # rounds before it. A plain round's bids are a function of its price,
-        # so no price repeats before the bids do; on this grid the price
-        # repeats in that same round, and every period fits in the memo's
-        # 341 entries. Every other point solves every round.
         utilities = canonical_scenario().utilities
         capped = repeated = 0
         for r in range(2, 121):
             rounds, status = plain_rounds(utilities, float(r), AllocationConfig())
             solves.clear()
-            records = []
-            result = run_allocation(utilities, float(r), AllocationConfig(), records.append)
-            assert [(rec.n, rec.price, rec.bids, rec.rates) for rec in records] == rounds
-            assert (result.status, result.trajectory) == (status, (records[-1],))
-            repeat = first_repeat(records, AllocationConfig().initial_bid) if status == ITERATION_CAP else None
-            assert len(solves) == 6 * (repeat[0] - 1 if repeat else len(rounds)), r
+            assert streamed(utilities, float(r)) == (rounds, status, len(rounds))
+            assert len(solves) == lru_solves(utilities, rounds), r
             capped += status == ITERATION_CAP
-            repeated += repeat is not None
+            repeated += first_repeat(rounds) is not None
         assert (capped, repeated) == (47, 40)
 
-    @pytest.mark.parametrize("max_iter", [*range(35, 41), *range(63, 71)])
+    @pytest.mark.parametrize(
+        "max_iter", [*range(R5_FIRST - R5_PERIOD - 1, R5_FIRST + R5_PERIOD + 1), *range(R5_FIRST + 25, R5_FIRST + 33)]
+    )
     def test_runs_that_end_around_the_buffered_period(self, solves, max_iter):
-        # R = 5's bids first repeat at round 38 with period 2: rounds 36 and
-        # 37 put the period's two prices in the memo, and every round from 38
-        # on takes its rates from there. Runs end before the period is held,
-        # on its first and second reuse, just after, and well after it.
+        # The R5_PERIOD rounds before R = 5's first repeat put the period's
+        # prices in the memo, and every round from R5_FIRST on takes its
+        # rates from there. Runs end before the period is held, while it is
+        # filled, on its first and second reuse, just after, and well after it.
         config = AllocationConfig(max_iter=max_iter)
         utilities = canonical_scenario().utilities
         rounds, status = plain_rounds(utilities, 5.0, config)
         assert streamed(utilities, 5.0, config) == (rounds, status, max_iter)
-        assert len(solves) == 6 * min(max_iter, 37)
+        assert len(solves) == 6 * min(max_iter, R5_FIRST - 1)
 
     def test_a_damped_run_takes_repeated_prices_from_the_memo(self, solves):
         # an envelope that never binds leaves R = 5's run the plain one, so
-        # the damped run also solves only the 37 rounds before its first repeat
+        # the damped run also solves only the rounds before its first repeat
         config = AllocationConfig(max_iter=200, decay=ExponentialDecay(l1=1e9, l2=1e9))
         utilities = canonical_scenario().utilities
         rounds, status = plain_rounds(utilities, 5.0, config)
         solves.clear()
         assert streamed(utilities, 5.0, config) == (rounds, status, 200)
-        assert len(solves) == 6 * 37
+        assert len(solves) == 6 * (R5_FIRST - 1)
 
-    @pytest.mark.parametrize("copies,first", [(120, 38), (100, 41)])
-    def test_a_cycle_that_fits_the_memo_is_solved_once(self, solves, copies, first):
-        # copies of the six users at R = copies x 5 repeat their bids first at
-        # round 38 (120 copies, memo of 2 entries) or 41 (100 copies, 3
-        # entries), both with period 2. The period fits, so no round from
-        # the first repeat on is solved, wherever the memo filled up.
-        utilities = canonical_scenario().utilities * copies
+    def test_a_cycle_that_fits_the_memo_is_solved_once(self, solves):
+        # Copies of the six users at R = copies x 5 hold memos of 2 (120
+        # copies) or 3 (100 copies) entries. A period that fits is solved
+        # once, wherever the memo filled up; at least one case must fit a
+        # memo that was already evicting before the price repeated.
         config = AllocationConfig(max_iter=60)
-        rounds, status = plain_rounds(utilities, 5.0 * copies, config)
-        solves.clear()
-        records = []
-        result = run_allocation(utilities, 5.0 * copies, config, records.append)
-        assert [(rec.n, rec.price, rec.bids, rec.rates) for rec in records] == rounds
-        assert (result.status, first_repeat(records, config.initial_bid)) == (status, (first, 2))
-        assert len(solves) == len(utilities) * (first - 1)
+        fits_a_full_memo = False
+        for copies in (120, 100):
+            utilities = canonical_scenario().utilities * copies
+            rounds, status = plain_rounds(utilities, 5.0 * copies, config)
+            solves.clear()
+            assert streamed(utilities, 5.0 * copies, config) == (rounds, status, 60)
+            assert len(solves) == lru_solves(utilities, rounds), copies
+            repeat = first_repeat(rounds)
+            fits_a_full_memo |= repeat is not None and repeat[1] <= memo_entries(utilities) < repeat[0] - 1
+        assert fits_a_full_memo
 
     def test_a_cycle_too_long_to_buffer_is_solved_again(self, solves):
-        # 120 copies of the six users at R = 120 x 40 cycle exactly with
-        # period 12 from round 91, but the memo's 4096 floats hold only two
-        # rounds of 720 users, so each price is evicted before it comes
-        # round again and every round is solved.
+        # 120 copies of the six users at R = 120 x 40 cycle exactly, but the
+        # memo's 4096 floats hold only two rounds of 720 users, so each price
+        # is evicted before it comes round again and every round is solved.
         utilities = canonical_scenario().utilities * 120
         config = AllocationConfig(max_iter=200)
         rounds, status = plain_rounds(utilities, 4800.0, config)
         solves.clear()
         assert streamed(utilities, 4800.0, config) == (rounds, status, 200)
-        assert protocol._MEMO_FLOATS // (2 * len(utilities)) < 12
+        _, period = first_repeat(rounds)
+        assert period > memo_entries(utilities)
         assert len(solves) == len(utilities) * 200
 
-    def test_the_memo_stays_bounded_however_long_the_run(self):
+    def test_the_memo_stays_bounded_however_long_the_run(self, traced_peak):
         # R = 20 cycles to the cap with no exact repeat, so the memo fills
         # at round 341 and evicts a price every round from then on. A run
         # peaks at about 115 KB at 1000 rounds and at 2000 (1.01x); an
@@ -516,12 +536,7 @@ class TestCycleReplay:
         run_allocation(utilities, 20.0, AllocationConfig(max_iter=400))
         peaks = {}
         for n in (1000, 2000):
-            tracemalloc.start()
-            try:
-                result = run_allocation(utilities, 20.0, AllocationConfig(max_iter=n))
-                peaks[n] = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            result, peaks[n] = traced_peak(run_allocation, utilities, 20.0, AllocationConfig(max_iter=n))
             assert (result.status, result.iterations_used) == (ITERATION_CAP, n)
         assert peaks[2000] <= 1.2 * peaks[1000]
 
@@ -532,7 +547,7 @@ class TestCycleReplay:
         for r in sc.r_values:
             rounds = []
             if run_allocation(sc.utilities, r, sc.config, rounds.append).status == ITERATION_CAP:
-                capped[r] = (price_period(rounds), first_repeat(rounds, sc.config.initial_bid))
+                capped[r] = (price_period(rounds), first_repeat(rounds))
         assert list(capped) == [5.0, 10.0, 15.0, 20.0, 25.0, 40.0, 45.0, 50.0, 55.0]
         assert [price for price, _ in capped.values()] == [2, 6, 6, None, 4, 6, 2, 3, 5]
         assert [exact for _, exact in capped.values()] == [

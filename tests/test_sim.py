@@ -1,4 +1,3 @@
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -146,7 +145,7 @@ class TestRunSweep:
             assert direct.trajectory == (rounds[-1],)
             assert direct.iterations_used == len(rounds)
 
-    def test_memory_follows_one_point_not_the_sweep(self):
+    def test_memory_follows_one_point_not_the_sweep(self, traced_peak):
         # Every point below cycles to the cap, so each runs max_iter rounds,
         # and the consumer holds the running point's rounds, as a writer
         # that buffers one file would. The sweep itself keeps one record per
@@ -154,10 +153,9 @@ class TestRunSweep:
         # peak plus three records. The baseline is the largest one-point
         # peak, because the points' held rounds differ in size: rounds
         # taken from the run's memo share their tuples, so R = 5, whose
-        # price first repeats at round 38, peaks at about 40 KB and R = 10,
-        # which first repeats at round 193, at about 120 KB. The four-point
-        # peak is about 0.82x the largest; a sweep that kept every point's
-        # rounds peaked at 3.5x.
+        # price repeats early, peaks at about 40 KB and R = 10, which
+        # repeats late, at about 120 KB. The four-point
+        # peak is about 0.82x the largest.
         config = AllocationConfig(max_iter=200)
         held = []
 
@@ -172,27 +170,20 @@ class TestRunSweep:
         peaks = {}
         for rates in (*points, [5.0, 10.0, 15.0, 20.0]):
             held.clear()
-            tracemalloc.start()
-            try:
-                sweep = run_sweep(canonical_scenario(r_values=rates, config=config), on_round=hold_running_point)
-                peaks[len(rates), rates[0]] = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            scenario = canonical_scenario(r_values=rates, config=config)
+            sweep, peaks[len(rates), rates[0]] = traced_peak(run_sweep, scenario, on_round=hold_running_point)
             assert {res.status for res in sweep.results.values()} == {ITERATION_CAP}
             assert len(held) == 200
         assert peaks[4, 5.0] < 1.25 * max(peaks[1, r] for (r,) in points)
 
-    def test_memory_stays_flat_as_rounds_grow(self):
+    def test_memory_stays_flat_as_rounds_grow(self, traced_peak):
         # R = 5 cycles to the cap, so the point runs exactly max_iter rounds.
-        # A sweep point that stored its rounds before cutting them peaked at
-        # 14x from 100 to 1000 rounds; streamed, the peak holds one round
-        # and the run's memo (1.00x). A lone run_allocation that kept every
-        # round without a callback peaked at 11-15x (42 KB to 455-614 KB);
-        # one that drops them peaks at about 11 KB either way (1.00x), most
-        # of it the memo of R = 5's 37 prices before its first repeat. The
-        # memo never fills here; TestCycleReplay checks its bound on a run
-        # that does not repeat. Without the memo the peak was about 1 KB,
-        # where a few objects more move the ratio, hence the looser bound.
+        # A streamed sweep point holds one round and the run's memo (1.00x).
+        # A lone run_allocation that drops its rounds peaks at about 11 KB
+        # either way (1.00x), most of it the memo of the prices before
+        # R = 5's first repeat. The memo never fills here; TestCycleReplay
+        # checks its bound on a run that does not repeat. At so small a peak
+        # a few objects more move the ratio, hence the looser bound.
         configs = {n: AllocationConfig(max_iter=n) for n in (100, 1000)}
         utilities = canonical_scenario().utilities
 
@@ -206,12 +197,7 @@ class TestRunSweep:
             run(configs[100])  # one-time allocations stay out of the peaks
             peaks = {}
             for n, config in configs.items():
-                tracemalloc.start()
-                try:
-                    result = run(config)
-                    peaks[n] = tracemalloc.get_traced_memory()[1]
-                finally:
-                    tracemalloc.stop()
+                result, peaks[n] = traced_peak(run, config)
                 assert (result.status, result.iterations_used) == (ITERATION_CAP, n)
             assert peaks[1000] <= bound * peaks[100]
 
@@ -223,6 +209,9 @@ class TestRunSweep:
         # the lone log user cannot absorb R = 1e12: refused before round 1
         (Scenario(name="starved", users=(("lone", LogUtility(k=0.5, r_max=100.0)),), r_values=(1e12,)),
          ValueError, "total rate R=1000000000000.0 is above the demand ceiling 999999999.97"),
+        # R = 1.5e9 is above HI_CAP / 2 but below 2 x HI_CAP: the ceiling is computed there too
+        (Scenario(name="starved", users=(("lone", LogUtility(k=0.5, r_max=100.0)),), r_values=(1.5e9,)),
+         ValueError, "total rate R=1500000000.0 is above the demand ceiling 999999999.97"),
         # tiny initial bids price R = 1.39e9's first round below every log user's slope at the bracket cap
         (canonical_scenario(r_values=(60.0, 1.39e9), config=AllocationConfig(initial_bid=0.001)),
          NoRootError, "log-slope still above price 4.316546762589928e-12 at rate 1000000000.0"),
@@ -231,7 +220,8 @@ class TestRunSweep:
         # reports converged after round 1 or 2 with the budget far from clear)
         (canonical_scenario(r_values=(60.0, 5e8), config=AllocationConfig(initial_bid=0.001)),
          NoRootError, "log-slope still above price 1.2e-11 at rate 1000000000.0"),
-    ], ids=["above-the-ceiling", "round-priced-too-low", "round-priced-too-low-without-ceiling"])
+    ], ids=["above-the-ceiling", "above-the-ceiling-below-twice-the-cap", "round-priced-too-low",
+            "round-priced-too-low-without-ceiling"])
     def test_passes_allocation_failures_on_unchanged(self, scenario, error, message):
         with pytest.raises(error) as caught:
             run_sweep(scenario)

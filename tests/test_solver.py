@@ -218,23 +218,23 @@ class TestSolveUserRate:
     def test_round_trip_through_the_slope(self):
         u = LogUtility(k=0.5, r_max=100.0)
         price = u.log_slope(17.3)
-        assert solve_user_rate(u, price) == pytest.approx(17.3, rel=1e-9)
+        assert solve_user_rate(u, price) == pytest.approx(17.3, rel=1e-9, abs=0)
 
     def test_log_closed_form_inversion(self):
         # k / ((1 + k r) log(1 + k r)) = 0.5 / (2 ln 2) exactly at r = 2
         u = LogUtility(k=0.5, r_max=100.0)
         price = 0.5 / (2.0 * math.log(2.0))
-        assert solve_user_rate(u, price) == pytest.approx(2.0, rel=1e-9)
+        assert solve_user_rate(u, price) == pytest.approx(2.0, rel=1e-9, abs=0)
 
     def test_sigmoid_root_at_inflection(self):
         u = SigmoidUtility(a=5.0, b=10.0)
-        assert solve_user_rate(u, u.log_slope(10.0)) == pytest.approx(10.0, rel=1e-9)
+        assert solve_user_rate(u, u.log_slope(10.0)) == pytest.approx(10.0, rel=1e-9, abs=0)
 
     def test_residual_is_within_bracket_tolerance(self, table_utilities):
         for u in table_utilities.values():
             for price in (0.01, 0.3, 2.0):
                 r = solve_user_rate(u, price)
-                assert u.log_slope(r) == pytest.approx(price, rel=1e-7)
+                assert u.log_slope(r) == pytest.approx(price, rel=1e-7, abs=0)
 
     def test_pins_to_lower_bracket_when_price_too_high(self):
         u = LogUtility(k=0.5, r_max=100.0)
@@ -247,14 +247,14 @@ class TestSolveUserRate:
         assert u.log_slope(1e3) > 1e-6  # root lies beyond the default bracket
         r = solve_user_rate(u, 1e-6)
         assert r > 1e3
-        assert u.log_slope(r) == pytest.approx(1e-6, rel=1e-7)
+        assert u.log_slope(r) == pytest.approx(1e-6, rel=1e-7, abs=0)
 
     @pytest.mark.parametrize("root", [8e8, HI_CAP])
     def test_finds_roots_up_to_the_cap(self, root):
         # the probe window reaches HI_CAP itself; a missed estimate takes
         # the doubling path, covered below
         u = LogUtility(k=0.5, r_max=100.0)
-        assert solve_user_rate(u, u.log_slope(root)) == pytest.approx(root, rel=1e-9)
+        assert solve_user_rate(u, u.log_slope(root)) == pytest.approx(root, rel=1e-9, abs=0)
 
     @pytest.mark.parametrize("root", [5e4, 8e8, HI_CAP])
     def test_a_missed_estimate_doubles_to_the_cap(self, monkeypatch, root):
@@ -266,7 +266,7 @@ class TestSolveUserRate:
         price, config = u.log_slope(root), SolverConfig()
         rate = solve_user_rate(u, price, config)
         assert rate == plain_bisection(u, price, config)
-        assert rate == pytest.approx(root, rel=1e-9)
+        assert rate == pytest.approx(root, rel=1e-9, abs=0)
         solve, plain = (slope_evaluations(f, u, price, config) for f in (solve_user_rate, plain_bisection))
         assert solve == plain
 
@@ -286,7 +286,7 @@ class TestSolveUserRate:
         slope_calls.clear()
         rate = solve_user_rate(u, price, config)
         assert len(slope_calls) <= 8
-        assert rate == pytest.approx(root, rel=1e-9)
+        assert rate == pytest.approx(root, rel=1e-9, abs=0)
         assert assert_solves(u, price, config) == rate
 
     @pytest.mark.parametrize(
@@ -303,11 +303,11 @@ class TestSolveUserRate:
         # a (or k) times bracket_lo underflows to 0; there the log-slope is its 1/r limit
         config = SolverConfig(bracket_lo=1e-300)
         rate = assert_solves(u, price, config)
-        assert rate == pytest.approx(float(mp_rate(u, price, config.bracket_lo)), rel=1e-9)
+        assert rate == pytest.approx(float(mp_rate(u, price, config.bracket_lo)), rel=1e-9, abs=0)
 
     @pytest.mark.parametrize("price", [0.0, -1.0, math.nan, math.inf])
     def test_rejects_bad_price(self, price):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="price"):
             solve_user_rate(LogUtility(k=3.0, r_max=100.0), price)
 
     def test_deterministic(self, table_utilities):

@@ -16,8 +16,14 @@ class TestConstruction:
     def test_sigmoid_derived_constants(self):
         u = SigmoidUtility(a=5.0, b=10.0)
         # d = 1/(1+e^50), c = (1+e^50)/e^50; frozen from 60-digit evaluation
-        assert u.d == pytest.approx(1.9287498479639178e-22, rel=1e-13)
+        assert u.d == pytest.approx(1.9287498479639178e-22, rel=1e-13, abs=0)
         assert u.c == pytest.approx(1.0, abs=1e-15)
+
+    def test_sigmoid_derived_constants_at_a_small_exponent(self):
+        # a*b = 1: e^(-ab) is far above an ulp of 1, so c = 1 + e^-1 and d = 1/(1 + e) show it
+        u = SigmoidUtility(a=1.0, b=1.0)
+        assert u.c == pytest.approx(1.3678794411714423, rel=1e-15, abs=0)
+        assert u.d == pytest.approx(0.2689414213699951, rel=1e-15, abs=0)
 
     def test_sigmoid_constants_survive_huge_exponent(self):
         # a*b = 1000: exp(ab) overflows, the rearranged constants do not
@@ -26,7 +32,7 @@ class TestConstruction:
         assert u.d == 0.0
         assert u.value(0.0) == 0.0
         assert u.value(1000.0) == 1.0
-        assert u.log_slope(100.0) == pytest.approx(5.0, rel=1e-15)
+        assert u.log_slope(100.0) == pytest.approx(5.0, rel=1e-15, abs=0)
 
     @pytest.mark.parametrize("a,b", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -2.0), (math.nan, 1.0)])
     def test_sigmoid_rejects_bad_parameters(self, a, b):
@@ -67,7 +73,7 @@ class TestValue:
 
     def test_log_value_passes_one_beyond_r_max(self, table_utilities):
         # unlike a sigmoid, a log curve is unbounded: it passes 1 beyond r_max
-        assert table_utilities["Log1"].value(1000.0) == pytest.approx(1.3147417188544752, rel=1e-15)
+        assert table_utilities["Log1"].value(1000.0) == pytest.approx(1.3147417188544752, rel=1e-15, abs=0)
         for name in ("Log1", "Log2", "Log3"):
             u = table_utilities[name]
             assert 1.0 < u.value(101.0) < u.value(1000.0) < u.value(1e6)
@@ -109,16 +115,16 @@ class TestLogSlope:
     def test_log_slope_closed_form(self):
         u = LogUtility(k=0.5, r_max=100.0)
         # k / ((1 + k r) log(1 + k r)) at r=2: 0.5 / (2 ln 2)
-        assert u.log_slope(2.0) == pytest.approx(0.36067376022224085, rel=1e-14)
+        assert u.log_slope(2.0) == pytest.approx(0.36067376022224085, rel=1e-14, abs=0)
 
     def test_sigmoid_slope_at_inflection(self):
         u = SigmoidUtility(a=5.0, b=10.0)
         # m = 1 there: a / (2 (1 - 2d)) within rounding of a/2
-        assert u.log_slope(10.0) == pytest.approx(2.5, rel=1e-14)
+        assert u.log_slope(10.0) == pytest.approx(2.5, rel=1e-14, abs=0)
 
     def test_slope_independent_of_log_normalization(self):
         assert LogUtility(k=2.0, r_max=10.0).log_slope(3.0) == pytest.approx(
-            LogUtility(k=2.0, r_max=500.0).log_slope(3.0), rel=1e-15
+            LogUtility(k=2.0, r_max=500.0).log_slope(3.0), rel=1e-15, abs=0
         )
 
     def test_nonpositive_rate_rejected(self, table_utilities):
@@ -150,7 +156,7 @@ class TestLogSlope:
             for r in rates:
                 h = 1e-6 * r
                 fd = (math.log(u.value(r + h)) - math.log(u.value(r - h))) / (2.0 * h)
-                assert u.log_slope(r) == pytest.approx(fd, rel=1e-6), (name, r)
+                assert u.log_slope(r) == pytest.approx(fd, rel=1e-6, abs=0), (name, r)
 
 
 class TestEstimateRate:
@@ -175,7 +181,7 @@ class TestEstimateRate:
         ],
     )
     def test_extreme_prices_give_a_number_not_an_error(self, u, price, expected):
-        assert u.estimate_rate(price) == pytest.approx(expected, rel=1e-12)
+        assert u.estimate_rate(price) == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 def full_newton_iterates(u, price):
@@ -252,7 +258,7 @@ class TestQoeFit:
     def test_video_anchor_points(self):
         u = sigmoid_from_qoe(200.0, 0.05, 740.0, 0.99)
         # slope in percent per rate unit: 100*(0.99-0.05)/540
-        assert u.a == pytest.approx(0.17407407407407408, rel=1e-15)
+        assert u.a == pytest.approx(0.17407407407407408, rel=1e-15, abs=0)
         assert u.b == 470.0
 
     def test_half_satisfaction_at_fitted_inflection(self):
@@ -262,7 +268,7 @@ class TestQoeFit:
     def test_midpoint_rule(self):
         u = sigmoid_from_qoe(50.0, 0.2, 150.0, 0.8)
         assert u.b == 100.0
-        assert u.a == pytest.approx(100.0 * 0.6 / 100.0, rel=1e-15)
+        assert u.a == pytest.approx(100.0 * 0.6 / 100.0, rel=1e-15, abs=0)
 
     @pytest.mark.parametrize(
         "args",
@@ -274,6 +280,7 @@ class TestQoeFit:
             (0.0, 0.05, 740.0, 0.99),    # zero rate anchor
             (200.0, 0.05, math.inf, 0.99),  # infinite rate anchor
             (math.nan, 0.05, 740.0, 0.99),  # nan rate anchor
+            (200.0, 0.05, 200.0, 0.99),  # equal rate anchors: no span to divide by
         ],
     )
     def test_rejects_misordered_anchors(self, args):

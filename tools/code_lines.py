@@ -1,4 +1,4 @@
-"""Count code lines in each module of src/fairalloc, skipping comments, blank lines and docstrings.
+"""Count code lines in each module of src/fairalloc and of tests, skipping comments, blank lines and docstrings.
 
 Usage: python3 tools/code_lines.py
 """
@@ -22,8 +22,11 @@ def code_lines(source: str) -> int:
     return len(lines)
 
 
-root = pathlib.Path(__file__).resolve().parent.parent / "src" / "fairalloc"
-counts = {p.stem: code_lines(p.read_text(encoding="utf-8")) for p in sorted(root.glob("*.py"))}
-for name, n in counts.items():
-    print(f"{name:12} {n}")
-print(f"{'total':12} {sum(counts.values())}")
+repo = pathlib.Path(__file__).resolve().parent.parent
+for directory in ("src/fairalloc", "tests"):
+    counts = {p.stem: code_lines(p.read_text(encoding="utf-8")) for p in sorted((repo / directory).glob("*.py"))}
+    width = max(map(len, counts)) + 1
+    print(directory)
+    for name, n in counts.items():
+        print(f"{name:{width}} {n}")
+    print(f"{'total':{width}} {sum(counts.values())}")
