@@ -56,6 +56,16 @@ def lru_solves(utilities, rounds):
     return len(utilities) * len(rounds)
 
 
+def copies_run(copies):
+    """``copies`` copies of the six users at R = copies x 5, run for 60 rounds by the reference loop.
+
+    Returns the users, the config, and ``plain_rounds``' rounds and status.
+    """
+    utilities = canonical_scenario().utilities * copies
+    config = AllocationConfig(max_iter=60)
+    return utilities, config, *plain_rounds(utilities, 5.0 * copies, config)
+
+
 # R = 5's undamped run from the default bids: the round whose price first
 # repeats an earlier one bit for bit, and the period from there. The
 # reference loop computes them, so they follow the price's rounding.
@@ -496,19 +506,23 @@ class TestCycleReplay:
         assert streamed(utilities, 5.0, config) == (rounds, status, 200)
         assert len(solves) == 6 * (R5_FIRST - 1)
 
-    def test_a_cycle_that_fits_the_memo_is_solved_once(self, solves):
+    @pytest.mark.parametrize("copies", [120, 100], ids=lambda copies: f"{copies}-{first_repeat(copies_run(copies)[2])[0]}")
+    def test_a_cycle_that_fits_the_memo_is_solved_once(self, solves, copies):
         # Copies of the six users at R = copies x 5 hold memos of 2 (120
-        # copies) or 3 (100 copies) entries. A period that fits is solved
-        # once, wherever the memo filled up; at least one case must fit a
-        # memo that was already evicting before the price repeated.
-        config = AllocationConfig(max_iter=60)
+        # copies) or 3 (100 copies) entries; each case is named by the round
+        # whose price first repeats. A period that fits is solved once,
+        # wherever the memo filled up.
+        utilities, config, rounds, status = copies_run(copies)
+        solves.clear()
+        assert streamed(utilities, 5.0 * copies, config) == (rounds, status, 60)
+        assert len(solves) == lru_solves(utilities, rounds)
+
+    def test_a_copies_cycle_fits_a_memo_that_filled_first(self):
+        # the cases above show "wherever the memo filled up" only if one of
+        # them fits a memo that was already evicting before the price repeated
         fits_a_full_memo = False
         for copies in (120, 100):
-            utilities = canonical_scenario().utilities * copies
-            rounds, status = plain_rounds(utilities, 5.0 * copies, config)
-            solves.clear()
-            assert streamed(utilities, 5.0 * copies, config) == (rounds, status, 60)
-            assert len(solves) == lru_solves(utilities, rounds), copies
+            utilities, _, rounds, _ = copies_run(copies)
             repeat = first_repeat(rounds)
             fits_a_full_memo |= repeat is not None and repeat[1] <= memo_entries(utilities) < repeat[0] - 1
         assert fits_a_full_memo
