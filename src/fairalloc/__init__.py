@@ -18,13 +18,10 @@ from .protocol import *
 from .sim import *
 from .scenario_io import *
 
-__version__ = "0.1.0"
-
 __all__ = [
     *utility.__all__,
     *solver.__all__,
     *protocol.__all__,
     *sim.__all__,
     *scenario_io.__all__,
-    "__version__",
 ]

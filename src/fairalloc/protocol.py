@@ -42,12 +42,15 @@ price reaches p* before the envelope drops below delta, the run stops
 with frozen bids that do not clear the budget.
 
 A round's rates are a pure function of its announced price, since the
-solve is deterministic, and so are the undamped bids p * r_i. A run
-remembers both for each price it has announced and, when a price comes
-round again, reuses them instead of solving again (a memo function in
-the sense of D. Michie, Nature 218, 1968); a damped run clamps the
-remembered bids as it would fresh ones. Eight of the nine capped runs
-above repeat a price bit for bit, and from then on no round is solved.
+solve is deterministic, and so are the undamped bids p * r_i. An
+undamped run remembers both for each price it has announced and, when a
+price comes round again, reuses them instead of solving again (a memo
+function in the sense of D. Michie, Nature 218, 1968). Eight of the nine
+capped runs above repeat a price bit for bit, and from then on no round
+is solved. A damped run keeps no memo and solves every round: its
+envelope depends on n, so its bids need not repeat with its price, and
+across the 6733 rounds of the reference population's damped sweep over
+R = 2..120 no price repeats.
 The memo is a ``functools.lru_cache`` of ``_MEMO_FLOATS`` (4096) floats:
 once full, it evicts the least recently used price, so a run remembers
 at most that many floats however long it is, and none for a population
@@ -186,12 +189,12 @@ def run_allocation(
     rounds. Each round's ``IterationRecord`` is passed to
     ``on_round(record)`` as soon as it is made; the result keeps only the
     last. To keep every round, collect them: ``on_round=rounds.append``.
-    A round whose price is still in the run's memo, which keeps the most
-    recently used prices, takes its rates and undamped bids from there
-    instead of solving them again, damped or not: the records, their
+    Without a decay policy, a round whose price is still in the run's
+    memo, which keeps the most recently used prices, takes its rates and
+    bids from there instead of solving them again: the records, their
     ``on_round`` calls, the status and ``iterations_used`` are the ones
-    solving would give, and an undamped round shares its ``bids`` and
-    ``rates`` tuples with the round that computed them.
+    solving would give, and the round shares its ``bids`` and ``rates``
+    tuples with the round that computed them.
 
     Two cell rates have no equilibrium and are rejected up front. One below
     the users' pinned floor (each user holds at least ``bracket_lo``), and
@@ -228,10 +231,12 @@ def run_allocation(
     decay = config.decay
     bids = (config.initial_bid,) * len(utilities)
 
-    @functools.lru_cache(maxsize=_MEMO_FLOATS // (2 * len(utilities)))
     def respond(price):
         rates = tuple([solve_user_rate(u, price, solver) for u in utilities])
         return rates, tuple([price * r for r in rates])
+
+    if decay is None:
+        respond = functools.lru_cache(maxsize=_MEMO_FLOATS // (2 * len(utilities)))(respond)
 
     for n in range(1, config.max_iter + 1):
         price = sum(bids) / total_rate

@@ -36,10 +36,12 @@ Boundary handling in that bisection:
   pathologically small price.
 
 Bisection stops once the bracket is narrower than ``REL_TOL`` of its
-midpoint, or once the midpoint rounds onto an end of the bracket, so
-that no double lies strictly between them. Every other step shrinks the
-bracket strictly, so the loop always ends, and it ends at the root
-however far below ``BRACKET_HI`` (and above ``bracket_lo``) the root lies.
+midpoint, and it ends at the root however far below ``BRACKET_HI`` (and
+above ``bracket_lo``) the root lies. The stop always comes while many
+doubles still lie between the ends: no finite price has a root below
+about 4e-309, where every log-slope exceeds the largest double, so
+``REL_TOL`` of the midpoint stays far above the spacing of the
+subnormal doubles (4.9e-324), and every step shrinks the bracket.
 
 ``grid_oracle`` is a brute-force cross-check: a plain-Python scan of an
 explicit rate grid for the best objective value, which never touches the
@@ -87,8 +89,7 @@ def solve_user_rate(u: UtilityFunction, price: float, config: SolverConfig = _DE
     ``(bracket_lo, HI_CAP]`` and certify the root between them, returns
     their midpoint. Otherwise bisects from ``[bracket_lo, BRACKET_HI]``,
     keeping the invariant log_slope(lo) >= price >= log_slope(hi), until
-    the bracket width falls below REL_TOL of its midpoint or the midpoint
-    no longer lies strictly inside the bracket. Pinned rates
+    the bracket width falls below REL_TOL of its midpoint. Pinned rates
     (``bracket_lo`` exactly) and NoRootError come from that bisection
     only. Identical inputs give bit-identical results, for any positive
     ``a``, ``k`` and ``bracket_lo``.
@@ -113,7 +114,7 @@ def solve_user_rate(u: UtilityFunction, price: float, config: SolverConfig = _DE
         hi = min(2.0 * hi, HI_CAP)
     while True:
         mid = 0.5 * (lo + hi)
-        if hi - lo <= REL_TOL * mid or not lo < mid < hi:
+        if hi - lo <= REL_TOL * mid:
             return mid
         if u.log_slope(mid) >= price:
             lo = mid

@@ -32,6 +32,43 @@ def read_csv(path):
     return header.split(","), [line.split(",") for line in rows]
 
 
+def canonical_text(edit=lambda doc: None):
+    """The canonical population at R = 60 as scenario JSON, after ``edit`` changes its document in place."""
+    doc = scenario_to_dict(canonical_scenario(r_values=(60.0,)))
+    edit(doc)
+    return json.dumps(doc)
+
+
+# Configs that main refuses with exit 2 before it makes the output
+# directory: the command, the config file's content (None: no file),
+# extra arguments, and what stderr must name, where {cfg} is the file.
+UNUSABLE_CONFIGS = {
+    "bad-utility-type": ("run", canonical_text(lambda doc: doc["users"][0].update(type="sigmoidal")), [],
+                         "users[0].type"),
+    "empty-users": ("run", canonical_text(lambda doc: doc.update(users=[])), [], "scenario.users"),
+    "csv-unsafe-user-id": ("run", canonical_text(lambda doc: doc["users"][2].update(id="Sig,1")), [],
+                           "users[2].id"),
+    # a lone surrogate, which json writes as the escape \ud800 and UTF-8 cannot encode
+    "user-id-utf8-cannot-encode": ("run", canonical_text(lambda doc: doc["users"][1].update(id="Sig\ud8002")), [],
+                                   "users[1].id"),
+    # json writes nan as the bare token NaN, which it also reads
+    "non-finite-setting": ("run", canonical_text(lambda doc: doc["config"].update(delta=math.nan)), [], "delta"),
+    "non-finite-rate": ("run", canonical_text(lambda doc: doc.update(R_values=[math.nan])), [], "nan"),
+    "non-finite-rate-override": ("run", canonical_text(), ["--R", "nan"], "nan"),
+    # a JSON integer beyond the largest double
+    "oversized-integer": ("run", canonical_text(lambda doc: doc.update(R_values=[int("1" * 400)])), [],
+                          "R_values[0]"),
+    # json refuses to convert an integer literal of more than 4300 digits
+    "integer-past-the-digit-limit": ("run", canonical_text().replace("[60.0]", "[" + "1" * 5000 + "]"), [],
+                                     "error: {cfg}: "),
+    "non-utf8-file": ("run", b"\xff\xfe{}", [], "{cfg}"),
+    "missing-config": ("run", None, [], "{cfg}"),
+    "curves-missing-config": ("curves", None, [], "{cfg}"),
+    "curves-malformed-scenario": ("curves", canonical_text(lambda doc: doc["users"][3]["params"].update(k=-1.0)), [],
+                                  "users[3]"),
+}
+
+
 class TestRun:
     def test_writes_summary_and_trajectories(self, tmp_path):
         cfg = write_config(tmp_path, r_values=(60.0,))
@@ -197,92 +234,6 @@ class TestRun:
         _, rows = read_csv(out / "summary.csv")
         assert {row[0] for row in rows} == {"65.0"}
 
-    def test_byte_identical_reruns(self, tmp_path):
-        cfg = write_config(tmp_path, r_values=(30.0, 60.0))
-        out1, out2 = tmp_path / "a", tmp_path / "b"
-        assert main(["run", "--config", str(cfg), "--out", str(out1)]) == 0
-        assert main(["run", "--config", str(cfg), "--out", str(out2)]) == 0
-        for name in ("summary.csv", "traj_R30.csv", "traj_R60.csv"):
-            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
-
-    def test_bad_utility_type_exits_2(self, tmp_path, capsys):
-        doc = scenario_to_dict(canonical_scenario(r_values=(60.0,)))
-        doc["users"][0]["type"] = "sigmoidal"
-        cfg = tmp_path / "bad.json"
-        cfg.write_text(json.dumps(doc))
-        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
-        assert "users[0].type" in capsys.readouterr().err
-
-    def test_empty_users_exits_2(self, tmp_path, capsys):
-        doc = scenario_to_dict(canonical_scenario(r_values=(60.0,)))
-        doc["users"] = []
-        cfg = tmp_path / "bad.json"
-        cfg.write_text(json.dumps(doc))
-        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
-
-    def test_csv_unsafe_user_id_exits_2(self, tmp_path, capsys):
-        doc = scenario_to_dict(canonical_scenario(r_values=(60.0,)))
-        doc["users"][2]["id"] = "Sig,1"
-        cfg = tmp_path / "comma.json"
-        cfg.write_text(json.dumps(doc))
-        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
-        assert "users[2].id" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
-
-    def test_user_id_utf8_cannot_encode_exits_2_before_any_output(self, tmp_path, capsys):
-        doc = scenario_to_dict(canonical_scenario(r_values=(60.0,)))
-        doc["users"][1]["id"] = "Sig\ud8002"  # a lone surrogate, which json reads from the escape \ud800
-        cfg = tmp_path / "surrogate.json"
-        cfg.write_text(json.dumps(doc))
-        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
-        assert "users[1].id" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
-
-    def test_non_finite_setting_exits_2(self, tmp_path, capsys):
-        doc = scenario_to_dict(canonical_scenario(r_values=(60.0,)))
-        doc["config"]["delta"] = float("nan")
-        cfg = tmp_path / "nan.json"
-        cfg.write_text(json.dumps(doc))  # written as the bare token NaN, which json accepts
-        assert "NaN" in cfg.read_text()
-        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
-        assert "delta" in capsys.readouterr().err
-
-    def test_non_finite_rate_exits_2(self, tmp_path, capsys):
-        doc = scenario_to_dict(canonical_scenario(r_values=(60.0,)))
-        doc["R_values"] = [float("nan")]
-        cfg = tmp_path / "nan.json"
-        cfg.write_text(json.dumps(doc))
-        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 2
-        assert "nan" in capsys.readouterr().err
-        good = write_config(tmp_path)
-        assert main(["run", "--config", str(good), "--out", str(tmp_path / "b"), "--R", "nan"]) == 2
-        assert "nan" in capsys.readouterr().err
-        assert not (tmp_path / "b").exists()
-
-    def test_oversized_integer_exits_2(self, tmp_path, capsys):
-        doc = scenario_to_dict(canonical_scenario(r_values=(60.0,)))
-        doc["R_values"] = [int("1" * 400)]  # a JSON integer beyond the largest double
-        cfg = tmp_path / "big.json"
-        cfg.write_text(json.dumps(doc))
-        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
-        assert "R_values[0]" in capsys.readouterr().err
-
-    def test_integer_past_the_digit_limit_exits_2_naming_the_file(self, tmp_path, capsys):
-        # json refuses to convert an integer literal of more than 4300 digits
-        doc = scenario_to_dict(canonical_scenario(r_values=(60.0,)))
-        cfg = tmp_path / "huge.json"
-        cfg.write_text(json.dumps(doc).replace("[60.0]", "[" + "1" * 5000 + "]"))
-        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {cfg}: ")
-        assert "Traceback" not in err
-
-    def test_non_utf8_file_exits_2_naming_the_file(self, tmp_path, capsys):
-        cfg = tmp_path / "utf16.json"
-        cfg.write_bytes(b"\xff\xfe{}")
-        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
-        assert str(cfg) in capsys.readouterr().err
-
     def test_files_are_utf8_whatever_the_locale(self, tmp_path):
         # ASCII locale, with both of Python's UTF-8 fallbacks (locale coercion, UTF-8 mode) off
         doc = scenario_to_dict(canonical_scenario(r_values=(30.0,)))
@@ -314,9 +265,6 @@ class TestRun:
         [(_, user_id, rate, _, price, _, status)] = rows
         assert (user_id, status) == ("lone", "converged")
         assert abs(float(rate) - 30.0) <= 0.001 / float(price)  # the lone user takes the whole budget
-
-    def test_missing_config_exits_2(self, tmp_path, capsys):
-        assert main(["run", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path / "out")]) == 2
 
     def test_allocation_failure_exits_3_naming_the_rate(self, tmp_path, capsys):
         doc = {
@@ -431,33 +379,9 @@ class TestCurves:
         beyond = [row for row in rows if row[0] != "0.0"]
         assert all(float(row[3]) > 0.0 for row in beyond)
 
-    def test_missing_config_exits_2_naming_the_file(self, tmp_path, capsys):
-        missing = tmp_path / "nope.json"
-        out = tmp_path / "out"
-        assert main(["curves", "--config", str(missing), "--out", str(out)]) == 2
-        assert str(missing) in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_malformed_scenario_exits_2_naming_the_field(self, tmp_path, capsys):
-        doc = scenario_to_dict(canonical_scenario())
-        doc["users"][3]["params"]["k"] = -1.0
-        cfg = tmp_path / "bad.json"
-        cfg.write_text(json.dumps(doc))
-        out = tmp_path / "out"
-        assert main(["curves", "--config", str(cfg), "--out", str(out)]) == 2
-        assert "users[3]" in capsys.readouterr().err
-        assert not out.exists()
 
 
 class TestFit:
-    def test_reproduces_the_video_fit(self, capsys):
-        assert main(["fit", "200", "0.05", "740", "0.99"]) == 0
-        out = capsys.readouterr().out.strip()
-        fields = dict(part.split("=") for part in out.split(" "))
-        assert set(fields) == {"a", "b", "c", "d"}
-        assert abs(float(fields["a"]) - 0.174) <= 0.001
-        assert float(fields["b"]) == 470.0
-
     def test_swapped_points_exit_2(self, capsys):
         assert main(["fit", "740", "0.05", "200", "0.99"]) == 2
         assert "r_low" in capsys.readouterr().err
@@ -466,6 +390,7 @@ class TestFit:
         assert main(["fit", "50", "0.2", "150", "0.8"]) == 0
         out = capsys.readouterr().out.strip()
         fields = dict(part.split("=") for part in out.split(" "))
+        assert set(fields) == {"a", "b", "c", "d"}
         assert float(fields["b"]) == 100.0
 
     def test_infinite_rate_names_the_argument(self, capsys):
@@ -506,6 +431,20 @@ class TestUsage:
         for command in ("run", "curves"):
             assert main([command, "--config", str(cfg), "--out", str(taken)]) == 2
             assert str(taken) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, content, extra, needle", UNUSABLE_CONFIGS.values(), ids=UNUSABLE_CONFIGS)
+    def test_an_unusable_config_exits_2_naming_its_field_or_file(self, tmp_path, capsys, command, content, extra,
+                                                                  needle):
+        cfg, out = tmp_path / "scenario.json", tmp_path / "out"
+        if isinstance(content, bytes):
+            cfg.write_bytes(content)
+        elif content is not None:
+            cfg.write_text(content)
+        assert main([command, "--config", str(cfg), "--out", str(out), *extra]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and needle.format(cfg=cfg) in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:

@@ -1,9 +1,11 @@
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from fairalloc import (
+    CONVERGED,
     ITERATION_CAP,
     AllocationConfig,
     ExponentialDecay,
@@ -89,12 +91,6 @@ class TestScenario:
 
 
 class TestRunSweep:
-    def test_budget_identity_per_converged_point(self):
-        sweep = run_sweep(canonical_scenario(r_values=[60.0]))
-        res = sweep.results[60.0]
-        assert res.converged
-        assert abs(sum(res.final_rates) - 60.0) <= 6 * 0.001 / res.final_price
-
     def test_scarcer_cell_prices_higher(self):
         sweep = run_sweep(canonical_scenario(r_values=[30.0, 60.0]))
         assert sweep.results[30.0].final_price > sweep.results[60.0].final_price
@@ -250,15 +246,23 @@ def _plain_and_damped(sc, total_rate):
 
 
 class TestFluctuationProbe:
-    def test_cycling_regime_is_rescued_by_damping(self):
-        # R=20 prices the cell onto the a=3 sigmoid's flat stretch: the
-        # undamped loop cycles to the cap. The damped run reports converged, but
-        # only because the envelope froze the bids (after 86 rounds, with
-        # |sum(r) - R| ~ 4.7), not because it reached the allocation.
-        plain, plain_rounds, damped = _plain_and_damped(canonical_scenario(), 20.0)
-        assert not plain.converged
-        assert damped.converged
-        assert late_step(plain_rounds) > 0.001
+    @pytest.mark.parametrize("total_rate", [20.0, 50.0])
+    def test_damping_freezes_a_cycling_regime_short_of_the_budget(self, total_rate):
+        # R = 20 and 50 price the cell onto the flat stretch of the a = 3 and
+        # a = 1 sigmoid: the undamped bids still step by 36.3 and 23.4 in the
+        # last 10 of their 1000 rounds. The damped run reports converged only
+        # because 5 e^(-n/10) drops below delta at round 86 and freezes the
+        # bids, with |sum(r) - R| of 4.68 and 1.83 against the budget bound
+        # N delta / p of 0.0020 and 0.0060.
+        sc = canonical_scenario()
+        plain, plain_rounds, damped = _plain_and_damped(sc, total_rate)
+        assert (plain.status, plain.iterations_used) == (ITERATION_CAP, 1000)
+        last = plain_rounds[-10:]
+        assert max(max(abs(w1 - w0) for w0, w1 in zip(a.bids, b.bids)) for a, b in zip(last, last[1:])) > 0.001
+        frozen_at = math.ceil(10.0 * math.log(5.0 / sc.config.delta))
+        assert (damped.status, damped.iterations_used) == (CONVERGED, frozen_at)
+        bound = len(sc.users) * sc.config.delta / damped.final_price
+        assert abs(sum(damped.final_rates) - total_rate) > bound
 
     def test_mutually_convergent_point_reaches_the_same_rates(self):
         plain, plain_rounds, damped = _plain_and_damped(canonical_scenario(), 30.0)
@@ -278,11 +282,6 @@ class TestFindNonconvergentRate:
     def test_finds_the_cycling_band_below_the_inflection_mass(self):
         assert find_nonconvergent_rate(canonical_scenario(), start=20.0, step=10.0, limit=60.0) == 20.0
 
-    def test_large_rates_all_converge(self):
-        # the undamped loop is a contraction well above the summed
-        # sigmoid inflection rates (60 here); upward searches come back empty
-        assert find_nonconvergent_rate(canonical_scenario(), start=100.0, step=100.0, limit=1000.0) is None
-
     def test_loop_gain_stays_within_the_documented_bound(self):
         # the docstring's and README's |g| <= 0.72 over the default search grid;
         # the largest is 0.7155, at R = 100
@@ -297,6 +296,5 @@ class TestFindNonconvergentRate:
         sc = canonical_scenario()
         gains = {r: abs(loop_gain(sc, r, equilibrium_price(sc, r))) for r in sc.r_values}
         settled = {r for r in sc.r_values if run_allocation(sc.utilities, r, sc.config).converged}
-        assert settled == {30.0, 35.0, *(5.0 * k for k in range(12, 21))}
         assert max(gains[r] for r in settled) <= 0.92
         assert min(gains[r] for r in gains.keys() - settled) > 2.3

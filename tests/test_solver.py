@@ -42,7 +42,7 @@ def plain_bisection(u, price, config):
         hi = min(2.0 * hi, HI_CAP)
     while True:
         mid = 0.5 * (lo + hi)
-        if hi - lo <= REL_TOL * mid or not lo < mid < hi:
+        if hi - lo <= REL_TOL * mid:
             return mid
         if u.log_slope(mid) >= price:
             lo = mid
@@ -389,6 +389,22 @@ class TestSkippedEvaluations:
         for u in table_utilities.values():
             for price in (1e-4, 0.05, 0.3, 2.0, 1e3):
                 assert_solves(u, price, config)
+
+    @pytest.mark.parametrize(
+        "u, root",
+        [(LogUtility(k=1.0, r_max=1.0), 5.5627e-309), (LogUtility(k=1.7e308, r_max=1e-308), 4.2843e-309),
+         (SigmoidUtility(a=1.0, b=1.0), 5.5627e-309)],
+        ids=["log", "log-huge-k", "sigmoid"],
+    )
+    def test_the_fallback_bisection_stops_on_width_at_the_lowest_roots(self, monkeypatch, u, root):
+        # no finite price has a root much below these: every log-slope there
+        # exceeds the largest double, so from a subnormal bracket_lo the
+        # bracket still narrows to REL_TOL of its midpoint
+        monkeypatch.setattr(type(u), "estimate_rate", lambda self, price: math.nan)
+        price = sys.float_info.max
+        rate = solve_user_rate(u, price, SolverConfig(bracket_lo=5e-324))
+        assert rate == pytest.approx(root, rel=1e-4, abs=0)
+        assert mp_root_between(u, price, rate * (1.0 - REL_TOL), rate * (1.0 + REL_TOL), ULPS)
 
     def test_few_evaluations_per_solve(self, sweep_traffic):
         # plain bisection takes about 44 per solve on these populations; a

@@ -83,11 +83,6 @@ class TestValue:
         # c*(1/2 - d) = (1 - e^-50)/2, indistinguishable from 0.5
         assert u.value(10.0) == pytest.approx(0.5, abs=1e-15)
 
-    def test_sigmoid_saturates_past_ten_inflections(self, table_utilities):
-        for name in ("Sig1", "Sig2", "Sig3"):
-            u = table_utilities[name]
-            assert u.value(10.0 * u.b) > 0.999
-
     @pytest.mark.parametrize("a,b", [(1e200, 1e200), (10**200, 10**200)])
     def test_sigmoid_value_where_a_times_rate_and_a_times_b_overflow(self, a, b):
         # a*rate - a*b is inf - inf here; the satisfaction is still 0, 1/2 and 1

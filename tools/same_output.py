@@ -24,9 +24,11 @@ for 1.39e9 and not for 5e8, which is ``HI_CAP / 2``) and ``run`` on a
 copy of the canonical population with the unknown key
 ``config.solver.rel_tol`` (exit 2).
 ``run`` also runs on copies of the canonical population whose
-``max_iter`` is 37, 38, 40 and 200. R = 5's price first repeats at
-round 38, so its runs end on the last round solved, on the first round
-taken from the run's memo, just after it and well into the cycle.
+``max_iter`` is set around the round at which this checkout's R = 5 run
+first repeats a price: one before it, that round, two after it, and
+200. So its runs end on the last round solved, on the first round taken
+from the run's memo, just after it and well into the cycle (today the
+repeat is at round 38, so ``max_iter`` is 37, 38, 40 and 200).
 It also runs on 120 copies of the canonical users at R = 600 with
 ``max_iter`` 60: the memo holds 2 prices of 720 users and the writer the
 text of 5 rounds, and from round 38 on every round repeats one of the
@@ -64,12 +66,19 @@ sys.path.insert(0, str(ROOT / "bench"))
 import workloads  # noqa: E402
 
 
+def r5_first_repeat(fa) -> int:
+    """The round at which this checkout's undamped R = 5 run on the canonical users first repeats a price."""
+    prices = []
+    fa.run_allocation(fa.canonical_scenario().utilities, 5.0, on_round=lambda rec: prices.append(rec.price))
+    return next(n for n, price in enumerate(prices, 1) if price in prices[:n - 1])
+
+
 def write_populations(dest: Path) -> dict[str, Path]:
     """Write each benchmark population and altered canonical ones as scenario files; return the paths.
 
     One has a key the reader refuses, one initial bids of 1e-3, four a
-    smaller ``max_iter`` each, and one 120 copies of the users at R = 600
-    with ``max_iter`` 60.
+    smaller ``max_iter`` each (around R = 5's first repeated price), and
+    one 120 copies of the users at R = 600 with ``max_iter`` 60.
     """
     fa = workloads.import_fairalloc()
     paths = {}
@@ -85,7 +94,8 @@ def write_populations(dest: Path) -> dict[str, Path]:
     tiny_bids["config"]["initial_bid"] = 1e-3
     paths["tiny bids"] = dest / "tiny-bids.json"
     paths["tiny bids"].write_text(json.dumps(tiny_bids), encoding="utf-8")
-    for max_iter in (37, 38, 40, 200):
+    first = r5_first_repeat(fa)
+    for max_iter in (first - 1, first, first + 2, 200):
         capped = workloads.scenario_doc("canonical-plain", fa)
         capped["config"]["max_iter"] = max_iter
         paths[f"max_iter {max_iter}"] = dest / f"max-iter-{max_iter}.json"
