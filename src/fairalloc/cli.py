@@ -64,18 +64,18 @@ def _write_csv(path: Path, header: str):
 def _round_writer(write, user_ids):
     """A per-round callback that passes each round to ``write`` as one block of CSV rows."""
     # repr sets this writer's cost, and a cycling run repeats whole rounds:
-    # once a plain run's price repeats bit for bit, its memo hands back the
-    # same price, bids and rates under a new n. So each round's rows are
-    # kept as text without their leading "n," and a repeated round only
-    # joins them under its own n. The text of at most 16 rounds is kept,
-    # and of at most 4096 rows (``_MEMO_FLOATS``, as many as the run's memo
-    # holds floats: 4 rounds of 1000 users, none past 4096), evicting the
-    # least recently used round. So memory stays flat however long the
-    # run and the population, a cycle that fits is formatted once and a
-    # longer one every round. Prices, bids and rates are products and
-    # quotients of positive doubles, never -0.0 or NaN, so doubles that
-    # compare equal have the same bits and one cached text serves every
-    # equal key.
+    # once a plain run's price repeats bit for bit, its memo and then its
+    # replay of the cycle hand back the same price, bids and rates under a
+    # new n. So each round's rows are kept as text without their leading
+    # "n," and a repeated round only joins them under its own n. The text
+    # of at most 16 rounds is kept, and of at most 4096 rows
+    # (``_MEMO_FLOATS``, as many as the run's memo holds floats: 4 rounds
+    # of 1000 users, none past 4096), evicting the least recently used
+    # round. So memory stays flat however long the run and the population,
+    # a cycle that fits is formatted once and a longer one every round.
+    # Prices, bids and rates are products and quotients of positive
+    # doubles, never -0.0 or NaN, so doubles that compare equal have the
+    # same bits and one cached text serves every equal key.
     @functools.lru_cache(maxsize=min(16, _MEMO_FLOATS // len(user_ids)))
     def rows(price, bids, rates):
         price = repr(price)  # once per round, not once per row

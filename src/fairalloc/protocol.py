@@ -42,27 +42,34 @@ price reaches p* before the envelope drops below delta, the run stops
 with frozen bids that do not clear the budget.
 
 A round's rates are a pure function of its announced price, since the
-solve is deterministic, and so are the undamped bids p * r_i. An
-undamped run remembers both for each price it has announced and, when a
-price comes round again, reuses them instead of solving again (a memo
-function in the sense of D. Michie, Nature 218, 1968). Eight of the nine
-capped runs above repeat a price bit for bit, and from then on no round
-is solved. A damped run keeps no memo and solves every round: its
-envelope depends on n, so its bids need not repeat with its price, and
-across the 6733 rounds of the reference population's damped sweep over
-R = 2..120 no price repeats.
-The memo is a ``functools.lru_cache`` of ``_MEMO_FLOATS`` (4096) floats:
-once full, it evicts the least recently used price, so a run remembers
-at most that many floats however long it is, and none for a population
-of more than 2048 users. LRU is a stack algorithm (Mattson
-et al., IBM Syst. J. 9, 1970), so a cycle with no more prices than the
-memo has entries is solved once, wherever the memo filled up, and a
-longer one is solved round by round.
+solve is deterministic, and so are the undamped bids p * r_i. So once an
+undamped run announces at round n the price of an earlier round m, every
+later round repeats with period n - m, bids included. An undamped run
+keeps a memo of its last rounds' records, keyed by price: a round whose
+price is in it reuses that record's rates and bids instead of solving
+again (a memo function in the sense of D. Michie, Nature 218, 1968), and
+is move-tested as any round, so a price repeated on the next round
+settles the run. A memo function saves the solve but not the round, and
+inside a cycle a round needs neither: if round n does not settle, rounds
+m + 1 .. n have tested every move of the cycle against delta, so no
+later round settles, and each later round k is the record of round
+m + (k - n) mod (n - m) renumbered to k, handed on with no bid sum,
+lookup or move test. Eight of the nine capped runs above repeat a price
+bit for bit, and from then on no round is solved. A damped run keeps no
+memo and solves every round: its envelope depends on n, so its bids need
+not repeat with its price, and across the 6733 rounds of the reference
+population's damped sweep over R = 2..120 no price repeats.
+The memo is a window of the last ``_MEMO_FLOATS // (2 * users)`` rounds
+(4096 floats of rates and bids) that evicts the oldest, so a run
+remembers at most that many floats however long it is, and none for a
+population of more than 2048 users. Every price before the first repeat
+is new, so a run whose period fits the window solves exactly the rounds
+before its first repeat, wherever the window filled up, and one whose
+period does not fit never finds a repeat and solves every round.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 import operator
@@ -190,11 +197,12 @@ def run_allocation(
     ``on_round(record)`` as soon as it is made; the result keeps only the
     last. To keep every round, collect them: ``on_round=rounds.append``.
     Without a decay policy, a round whose price is still in the run's
-    memo, which keeps the most recently used prices, takes its rates and
-    bids from there instead of solving them again: the records, their
-    ``on_round`` calls, the status and ``iterations_used`` are the ones
-    solving would give, and the round shares its ``bids`` and ``rates``
-    tuples with the round that computed them.
+    memo, a window of its most recent rounds, takes its rates and bids
+    from there instead of solving them again, and if it does not settle,
+    every later round up to the cap replays the cycle it closed: the
+    records, their ``on_round`` calls, the status and ``iterations_used``
+    are the ones solving would give, and the round shares its ``bids``
+    and ``rates`` tuples with the round that computed them.
 
     Two cell rates have no equilibrium and are rejected up front. One below
     the users' pinned floor (each user holds at least ``bracket_lo``), and
@@ -230,28 +238,39 @@ def run_allocation(
             )
     decay = config.decay
     bids = (config.initial_bid,) * len(utilities)
-
-    def respond(price):
-        rates = tuple([solve_user_rate(u, price, solver) for u in utilities])
-        return rates, tuple([price * r for r in rates])
-
-    if decay is None:
-        respond = functools.lru_cache(maxsize=_MEMO_FLOATS // (2 * len(utilities)))(respond)
-
+    # the records of the run's last `size` rounds by price, oldest first; a damped run keeps none
+    window, size = {}, (_MEMO_FLOATS // (2 * len(utilities)) if decay is None else 0)
     for n in range(1, config.max_iter + 1):
         price = sum(bids) / total_rate
-        rates, new_bids = respond(price)
-        if decay is not None:
-            # the envelope cuts a move larger than dw(n) back to old_bid +/- dw(n)
-            limit = decay.step_limit(n)
-            new_bids = tuple([
-                old + math.copysign(limit, w - old) if abs(w - old) > limit else w
-                for w, old in zip(new_bids, bids)
-            ])
+        seen = window.get(price)
+        if seen is None:
+            rates = tuple([solve_user_rate(u, price, solver) for u in utilities])
+            new_bids = tuple([price * r for r in rates])
+            if decay is not None:
+                # the envelope cuts a move larger than dw(n) back to old_bid +/- dw(n)
+                limit = decay.step_limit(n)
+                new_bids = tuple([
+                    old + math.copysign(limit, w - old) if abs(w - old) > limit else w
+                    for w, old in zip(new_bids, bids)
+                ])
+        else:
+            _, _, new_bids, rates = seen
         record = IterationRecord(n, price, new_bids, rates)
         on_round(record)
         moved = max(map(abs, map(operator.sub, new_bids, bids)))
         bids = new_bids
         if moved <= config.delta:
             return AllocationResult(CONVERGED, (record,))
+        if seen is not None:
+            # rounds seen.n + 1 .. n moved more than delta, and they are the whole cycle
+            cycle = list(window.values())[seen.n - n:]
+            for k in range(n + 1, config.max_iter + 1):
+                _, price, new_bids, rates = cycle[(k - n) % len(cycle)]
+                record = IterationRecord(k, price, new_bids, rates)
+                on_round(record)
+            break
+        if size:
+            window[price] = record
+            if len(window) > size:
+                del window[next(iter(window))]
     return AllocationResult(ITERATION_CAP, (record,))

@@ -7,8 +7,9 @@ slope there is the loop gain g = 1 + p*D'(p*)/R. The helpers below find
 p* and g without running the bidding loop. The late-round helpers take
 every round of one run, in order, as collected by
 ``run_allocation(..., on_round=rounds.append)``. ``plain_rounds`` is the
-undamped loop written out with every round solved, the reference that
-``run_allocation``'s memo of rates per price must reproduce record for
+undamped loop written out with every round solved and move-tested, the
+reference that ``run_allocation``'s memo of its last rounds by price, and
+its replay of a cycle once a price repeats, must reproduce record for
 record; the figures of its orbits that depend on how the price is rounded
 are computed from it, not copied.
 """

@@ -42,13 +42,13 @@ def memo_entries(utilities):
     return protocol._MEMO_FLOATS // (2 * len(utilities))
 
 
-def lru_solves(utilities, rounds):
-    """The solves an undamped run of ``rounds`` makes, by its memo's LRU law.
+def memo_solves(utilities, rounds):
+    """The solves an undamped run of ``rounds`` makes, by its memo's law.
 
     Every round before the first repeated price is solved. From there the
-    run cycles: a period that fits the memo's entries is never solved
-    again, wherever the memo filled up, and a longer one is evicted before
-    it comes round, so every round is solved.
+    run cycles: a period that fits the memo's entries is replayed and never
+    solved again, wherever the memo filled up, and a longer one is evicted
+    before it comes round, so every round is solved.
     """
     repeat = first_repeat(rounds)
     if repeat and repeat[1] <= memo_entries(utilities):
@@ -64,6 +64,11 @@ def copies_run(copies):
     utilities = canonical_scenario().utilities * copies
     config = AllocationConfig(max_iter=60)
     return utilities, config, *plain_rounds(utilities, 5.0 * copies, config)
+
+
+def exact_run(total_rate):
+    """The reference loop's rounds and status for the six users with delta 5e-324, the smallest double."""
+    return plain_rounds(canonical_scenario().utilities, total_rate, AllocationConfig(delta=5e-324))
 
 
 # R = 5's undamped run from the default bids: the round whose price first
@@ -429,11 +434,12 @@ class TestIterationRecord:
 class TestCycleReplay:
     """A round whose price came before takes its rates and bids from the run's memo instead of solving again.
 
-    A round's rates depend on its price alone, so the memo must stream
-    exactly the rounds the loop computes one by one, and ``lru_solves``
-    gives how many solves it makes. Only the first and last tests pin
-    figures of today's orbits: the benchmark sweeps' round and solve
-    counts, and README's cycles.
+    If that round does not settle, the run replays the cycle it closed to
+    the cap. A round's rates depend on its price alone, so the memo and the
+    replay must stream exactly the rounds the loop computes one by one and
+    move-tests, and ``memo_solves`` gives how many solves it makes. Only
+    the first and last tests pin figures of today's orbits: the benchmark
+    sweeps' round and solve counts, and README's cycles.
     """
 
     def test_benchmark_sweeps_take_the_pinned_rounds_and_solves(self, solves):
@@ -460,7 +466,7 @@ class TestCycleReplay:
             rounds, status = plain_rounds(utilities, float(r), AllocationConfig())
             solves.clear()
             assert streamed(utilities, float(r)) == (rounds, status, len(rounds))
-            assert len(solves) == lru_solves(utilities, rounds), r
+            assert len(solves) == memo_solves(utilities, rounds), r
             capped += status == ITERATION_CAP
             repeated += first_repeat(rounds) is not None
         assert (capped, repeated) == (47, 40)
@@ -478,6 +484,21 @@ class TestCycleReplay:
         rounds, status = plain_rounds(utilities, 5.0, config)
         assert streamed(utilities, 5.0, config) == (rounds, status, max_iter)
         assert len(solves) == 6 * min(max_iter, R5_FIRST - 1)
+
+    @pytest.mark.parametrize("r", [60.0, 100.0, 115.0],
+                             ids=lambda r: "{:g}-{}-lag{}".format(r, *first_repeat(exact_run(r)[0])))
+    def test_the_first_repeated_round_is_move_tested(self, solves, r):
+        # With delta the smallest double a run settles only on a zero move,
+        # so a price that repeats on the next round ends the run on the
+        # repeated round's own move test, and a longer lag replays its cycle
+        # to the cap. Each case is named by its first repeated round and lag.
+        rounds, status = exact_run(r)
+        first, lag = first_repeat(rounds)
+        assert (status, len(rounds)) == ((CONVERGED, first) if lag == 1 else (ITERATION_CAP, 1000))
+        utilities = canonical_scenario().utilities
+        solves.clear()
+        assert streamed(utilities, r, AllocationConfig(delta=5e-324)) == (rounds, status, len(rounds))
+        assert len(solves) == 6 * (first - 1)
 
     def test_a_damped_run_solves_every_round(self, solves):
         # an envelope that never binds leaves R = 5's run the plain one,
@@ -499,7 +520,7 @@ class TestCycleReplay:
         utilities, config, rounds, status = copies_run(copies)
         solves.clear()
         assert streamed(utilities, 5.0 * copies, config) == (rounds, status, 60)
-        assert len(solves) == lru_solves(utilities, rounds)
+        assert len(solves) == memo_solves(utilities, rounds)
 
     def test_a_copies_cycle_fits_a_memo_that_filled_first(self):
         # the cases above show "wherever the memo filled up" only if one of

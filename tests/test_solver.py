@@ -461,5 +461,5 @@ class TestGridOracle:
             grid_oracle(LogUtility(k=3.0, r_max=100.0), 0.5, grid)
 
     def test_rejects_bad_price(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="price"):
             grid_oracle(LogUtility(k=3.0, r_max=100.0), 0.0, np.array([1.0, 2.0]))

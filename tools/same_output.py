@@ -13,7 +13,12 @@ filled and evicted prices, and R = 48's period is longer than the 16
 rounds of text the CLI writer keeps), ``run --R 2.7e9`` (roots
 near the demand ceiling, far past the fallback bisection's first upper
 bracket: the probes certify every round's roots, and only the ceiling's
-root at the bracket cap is reached by doubling), ``curves``, and
+root at the bracket cap is reached by doubling), ``run --R 60,115`` on
+a copy of the canonical population with ``delta`` 5e-324, the smallest
+double (a run settles only on a zero move: R = 60 repeats its price on
+the next round and settles on that round's move test, at round 113
+today, and R = 115 repeats it with lag 2 at round 93 and replays that
+cycle to the cap), ``curves``, and
 ``fit`` once succeeding and once failing. Four cases exit with an error:
 ``run --R 60,3e9`` (exit 3 above the demand ceiling, after the 60 point's
 file is kept), ``run --R 60,1.39e9`` and ``run --R 60,5e8`` on a copy of
@@ -27,12 +32,13 @@ copy of the canonical population with the unknown key
 ``max_iter`` is set around the round at which this checkout's R = 5 run
 first repeats a price: one before it, that round, two after it, and
 200. So its runs end on the last round solved, on the first round taken
-from the run's memo, just after it and well into the cycle (today the
+from the run's memo, just after it and well into the replayed cycle (today the
 repeat is at round 38, so ``max_iter`` is 37, 38, 40 and 200).
 It also runs on 120 copies of the canonical users at R = 600 with
 ``max_iter`` 60: the memo holds 2 prices of 720 users and the writer the
 text of 5 rounds, and from round 38 on every round repeats one of the
-period-2 cycle, so both small caches serve the run's last 23 rounds.
+period-2 cycle, so the run's memo and then its replay, and the writer's
+text cache, serve the run's last 23 rounds.
 Every output file's bytes, stdout, stderr and exit code are compared, so
 a ``.part`` file left behind shows up as a difference. The CLI writes
 every round of every point with ``repr``, so identical files also mean
@@ -76,7 +82,8 @@ def r5_first_repeat(fa) -> int:
 def write_populations(dest: Path) -> dict[str, Path]:
     """Write each benchmark population and altered canonical ones as scenario files; return the paths.
 
-    One has a key the reader refuses, one initial bids of 1e-3, four a
+    One has a key the reader refuses, one initial bids of 1e-3, one
+    ``delta`` 5e-324, four a
     smaller ``max_iter`` each (around R = 5's first repeated price), and
     one 120 copies of the users at R = 600 with ``max_iter`` 60.
     """
@@ -94,6 +101,10 @@ def write_populations(dest: Path) -> dict[str, Path]:
     tiny_bids["config"]["initial_bid"] = 1e-3
     paths["tiny bids"] = dest / "tiny-bids.json"
     paths["tiny bids"].write_text(json.dumps(tiny_bids), encoding="utf-8")
+    exact = workloads.scenario_doc("canonical-plain", fa)
+    exact["config"]["delta"] = 5e-324
+    paths["exact"] = dest / "exact.json"
+    paths["exact"].write_text(json.dumps(exact), encoding="utf-8")
     first = r5_first_repeat(fa)
     for max_iter in (first - 1, first, first + 2, 200):
         capped = workloads.scenario_doc("canonical-plain", fa)
@@ -112,12 +123,13 @@ def cases(populations: dict[str, Path]) -> dict[str, list[str]]:
     """Each case's CLI arguments; ``--out`` is relative to the case's own directory."""
     canonical, tiny_bids = str(populations["canonical-plain"]), str(populations["tiny bids"])
     runs = {f"run {w}": ["run", "--config", str(p), "--out", "out"]
-            for w, p in populations.items() if w != "tiny bids"}
+            for w, p in populations.items() if w not in ("tiny bids", "exact")}
     return {
         **runs,
         "run --R 7.5,30": ["run", "--config", canonical, "--out", "out", "--R", "7.5,30"],
         "run --R 9,48,57": ["run", "--config", canonical, "--out", "out", "--R", "9,48,57"],
         "run --R 2.7e9": ["run", "--config", canonical, "--out", "out", "--R", "2.7e9"],
+        "run exact --R 60,115": ["run", "--config", str(populations["exact"]), "--out", "out", "--R", "60,115"],
         "run --R 60,3e9": ["run", "--config", canonical, "--out", "out", "--R", "60,3e9"],
         "run tiny bids --R 60,1.39e9": ["run", "--config", tiny_bids, "--out", "out", "--R", "60,1.39e9"],
         "run tiny bids --R 60,5e8": ["run", "--config", tiny_bids, "--out", "out", "--R", "60,5e8"],
