@@ -1,11 +1,9 @@
 """Seeded population audit: the undamped loop's stability claims beyond the six reference users.
 
-Each population draws n = rng.integers(3, 40) users from
-``numpy.random.default_rng(seed)``, then per user in order: an
-even-indexed user is a sigmoid with a ~ U[0.5, 5] and b ~ U[5, 30], an
-odd-indexed one logarithmic with k log-uniform on [0.5, 15] and
-r_max = 100. The cell rate is a multiple of the sigmoids' summed
-inflection rates Σb.
+Each population draws n = rng.integers(3, 40) from
+``numpy.random.default_rng(seed)``, then n users from the same generator
+by ``populations.seeded_scenario``. The cell rate is a multiple of the
+sigmoids' summed inflection rates Σb.
 
 Over seeds 0-29 at {0.3, 0.6, 0.9, 1.2, 2, 4} x Σb (180 runs, about 12 s)
 every run with |g| > 1 capped, every converged run cleared the budget
@@ -16,29 +14,20 @@ runs with |g| < 1 that still cap: the stable fixed point coexists there
 with another attractor, so |g| < 1 does not imply settling.
 """
 
-import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from fairalloc import ITERATION_CAP, LogUtility, Scenario, SigmoidUtility, run_allocation
+from fairalloc import ITERATION_CAP, Scenario, run_allocation
 from late_rounds import equilibrium_price, loop_gain, straddles
+from populations import seeded_scenario
 
 
 def population(seed: int, factor: float) -> Scenario:
     """Seed ``seed``'s users at the cell rate ``factor`` x Σb."""
     rng = np.random.default_rng(seed)
-    users = []
-    for i in range(int(rng.integers(3, 40))):
-        if i % 2 == 0:
-            a = float(rng.uniform(0.5, 5.0))
-            users.append((f"u{i}", SigmoidUtility(a=a, b=float(rng.uniform(5.0, 30.0)))))
-        else:
-            k = math.exp(rng.uniform(math.log(0.5), math.log(15.0)))
-            users.append((f"u{i}", LogUtility(k=k, r_max=100.0)))
-    inflection_sum = sum(u.b for _, u in users if isinstance(u, SigmoidUtility))
-    return Scenario(name=f"seed{seed}", users=tuple(users), r_values=(factor * inflection_sum,))
+    return seeded_scenario(f"seed{seed}", rng, int(rng.integers(3, 40)), (factor,))
 
 
 @pytest.mark.parametrize(

@@ -91,57 +91,8 @@ def solves(monkeypatch):
     return calls
 
 
-class TestShadowPrice:
-    """The price each round announces: the outstanding bids over the cell rate."""
-
-    def test_initial_bids_over_matching_rate(self):
-        assert first_round(canonical_scenario().utilities, 60.0).price == 1.0
-
-    def test_doubling_the_rate_halves_the_price(self):
-        assert first_round(canonical_scenario().utilities, 120.0).price == 0.5
-
-    def test_single_user_identity(self):
-        # p * R recovers the lone bid of the round before
-        rounds = []
-        run_allocation([LogUtility(k=3.0, r_max=100.0)], 41.0, on_round=rounds.append)
-        assert len(rounds) > 2
-        for prev, rec in zip(rounds, rounds[1:]):
-            assert rec.price * 41.0 == pytest.approx(prev.bids[0], rel=1e-15, abs=0)
-
-    @pytest.mark.parametrize("rate", [0.0, -5.0, math.inf, math.nan, "30", True])
-    def test_rejects_bad_total_rate(self, rate):
-        with pytest.raises(ValueError, match="total rate"):
-            run_allocation([LogUtility(k=3.0, r_max=100.0)], rate)
-
-
-class TestUserRespond:
-    """Each user answers a price with its optimal rate and the bid price * rate."""
-
-    def test_log_closed_form(self):
-        u = LogUtility(k=0.5, r_max=100.0)
-        price = 0.5 / (2.0 * math.log(2.0))  # the log-slope at r = 2
-        rec = first_round([u], 10.0, initial_bid=10.0 * price)
-        assert rec.rates[0] == pytest.approx(2.0, rel=1e-9, abs=0)
-        assert rec.bids[0] == pytest.approx(2.0 * price, rel=1e-9, abs=0)
-
-    def test_sigmoid_at_inflection_price(self):
-        u = SigmoidUtility(a=5.0, b=10.0)
-        price = u.log_slope(10.0)
-        rec = first_round([u], 10.0, initial_bid=10.0 * price)
-        assert rec.rates[0] == pytest.approx(10.0, rel=1e-9, abs=0)
-        assert rec.bids[0] == pytest.approx(10.0 * price, rel=1e-9, abs=0)
-
-    def test_bid_is_price_times_rate_exactly(self, table_utilities):
-        for u in table_utilities.values():
-            for total_rate in (5.0, 60.0, 150.0):  # under each lone user's demand ceiling (Sig1: 151.8)
-                rounds = []
-                run_allocation([u], total_rate, AllocationConfig(max_iter=5), rounds.append)
-                for rec in rounds:
-                    assert rec.bids[0] == rec.price * rec.rates[0]
-
-
-class TestApplyDecay:
-    """The envelope cuts a bid move larger than dw(n) back to old_bid +/- dw(n)."""
+class TestDecayEnvelope:
+    """ExponentialDecay and RationalDecay cut a bid move larger than dw(n) back to old_bid +/- dw(n)."""
 
     @staticmethod
     def assert_round_one_clipped(decay):
@@ -169,14 +120,6 @@ class TestApplyDecay:
         for decay in (ExponentialDecay(l1=20.0, l2=10.0), RationalDecay(l3=20.0)):
             assert first_round(users, 60.0, decay=decay).bids == targets
 
-    def test_none_policy_is_identity(self):
-        # an envelope that never binds leaves the whole run unchanged
-        users = canonical_scenario().utilities
-        wide = AllocationConfig(decay=ExponentialDecay(l1=1e9, l2=1e9))
-        damped, plain = [], []
-        assert run_allocation(users, 60.0, wide, damped.append) == run_allocation(users, 60.0, on_round=plain.append)
-        assert damped == plain
-
     def test_default_constants(self):
         assert (ExponentialDecay(), RationalDecay()) == (ExponentialDecay(l1=5.0, l2=10.0), RationalDecay(l3=5.0))
 
@@ -202,34 +145,6 @@ class TestApplyDecay:
             make()
 
 
-class TestCheckConvergence:
-    """The loop stops at the first round in which no bid moved by more than delta."""
-
-    def test_within_threshold(self):
-        rounds = []
-        res = run_allocation(canonical_scenario().utilities, 60.0, on_round=rounds.append)
-        assert res.converged
-        prev = rounds[-2].bids
-        assert max_move(res.final_bids, prev) <= 0.001
-
-    def test_single_coordinate_exceeding(self):
-        # every earlier round had a bid that moved by more than delta
-        rounds = []
-        run_allocation(canonical_scenario().utilities, 60.0, on_round=rounds.append)
-        prev = (10.0,) * 6
-        for rec in rounds[:-1]:
-            assert max_move(rec.bids, prev) > 0.001
-            prev = rec.bids
-
-    def test_zero_step_always_converged(self):
-        # a cell exactly at the floor pins its lone user, who bids (w/R) * R = w again
-        lo = SolverConfig().bracket_lo
-        res = run_allocation([LogUtility(k=0.5, r_max=100.0)], lo, AllocationConfig(delta=1e-300))
-        assert res.status == CONVERGED
-        assert res.iterations_used == 1
-        assert res.final_bids == (10.0,)
-
-
 class TestRunAllocation:
     def test_single_user_absorbs_the_whole_cell(self):
         u = LogUtility(k=3.0, r_max=100.0)
@@ -244,31 +159,6 @@ class TestRunAllocation:
         assert SolverConfig().bracket_lo not in res.final_rates  # no user is pinned
         for u, r in zip(sc.utilities, res.final_rates):
             assert abs(u.log_slope(r) - res.final_price) / res.final_price <= 1e-6
-
-    def test_marginal_sigmoid_regime_cycles_instead_of_converging(self):
-        # R=50 prices the cell near the a=1 sigmoid's flat log-utility
-        # stretch; the marginal user's response swings across it and the
-        # undamped bids cycle forever (late prices repeat every 3 rounds).
-        sc = canonical_scenario()
-        rounds = []
-        res = run_allocation(sc.utilities, 50.0, on_round=rounds.append)
-        assert res.status == ITERATION_CAP
-        assert res.iterations_used == 1000
-        last_steps = [
-            max(abs(w1 - w0) for w0, w1 in zip(a.bids, b.bids))
-            for a, b in zip(rounds[-10:], rounds[-9:])
-        ]
-        assert max(last_steps) > 0.001
-
-    def test_damping_rescues_the_cycling_regime(self):
-        # The damped run reports converged, but only because the envelope
-        # froze the bids (after 86 rounds, with |sum(r) - R| ~ 1.83 against
-        # the budget bound N*delta/p ~ 0.006 for the six users), not
-        # because it reached the allocation.
-        sc = canonical_scenario()
-        cfg = AllocationConfig(decay=ExponentialDecay(l1=5.0, l2=10.0))
-        res = run_allocation(sc.utilities, 50.0, cfg)
-        assert res.status == CONVERGED
 
     def test_decay_envelope_bounds_every_step(self):
         sc = canonical_scenario()
@@ -317,9 +207,22 @@ class TestRunAllocation:
         lo = SolverConfig().bracket_lo
         assert rounds[0].rates == (lo, lo)
 
+    def test_zero_step_always_converged(self):
+        # a cell exactly at the floor pins its lone user, who bids (w/R) * R = w again
+        lo = SolverConfig().bracket_lo
+        res = run_allocation([LogUtility(k=0.5, r_max=100.0)], lo, AllocationConfig(delta=1e-300))
+        assert res.status == CONVERGED
+        assert res.iterations_used == 1
+        assert res.final_bids == (10.0,)
+
     def test_rejects_empty_population(self):
         with pytest.raises(ValueError):
             run_allocation([], 10.0)
+
+    @pytest.mark.parametrize("rate", [0.0, -5.0, math.inf, math.nan, "30", True])
+    def test_rejects_bad_total_rate(self, rate):
+        with pytest.raises(ValueError, match="total rate"):
+            run_allocation([LogUtility(k=3.0, r_max=100.0)], rate)
 
     @pytest.mark.parametrize("total_rate", [0.005, 0.001])
     def test_rejects_a_budget_below_the_pinned_floor(self, total_rate):
@@ -501,15 +404,20 @@ class TestCycleReplay:
         assert len(solves) == 6 * (first - 1)
 
     def test_a_damped_run_solves_every_round(self, solves):
-        # an envelope that never binds leaves R = 5's run the plain one,
-        # whose price repeats from round R5_FIRST on, but a damped run keeps
-        # no memo and solves every round
-        config = AllocationConfig(max_iter=200, decay=ExponentialDecay(l1=1e9, l2=1e9))
+        # An envelope that never binds leaves each run the plain one, but a
+        # damped run keeps no memo and solves every round. R = 5's price
+        # repeats with lag 2 from round R5_FIRST on; with delta the smallest
+        # double, R = 60's repeats on the next round and settles there, so
+        # even a one-round memo would skip a solve.
+        wide = ExponentialDecay(l1=1e9, l2=1e9)
         utilities = canonical_scenario().utilities
-        rounds, status = plain_rounds(utilities, 5.0, config)
-        solves.clear()
-        assert streamed(utilities, 5.0, config) == (rounds, status, 200)
-        assert len(solves) == 6 * 200
+        for r, config in ((5.0, AllocationConfig(max_iter=200, decay=wide)),
+                          (60.0, AllocationConfig(delta=5e-324, decay=wide))):
+            rounds, status = plain_rounds(utilities, r, config)
+            assert first_repeat(rounds) is not None, r
+            solves.clear()
+            assert streamed(utilities, r, config) == (rounds, status, len(rounds))
+            assert len(solves) == 6 * len(rounds), r
 
     @pytest.mark.parametrize("copies", [120, 100], ids=lambda copies: f"{copies}-{first_repeat(copies_run(copies)[2])[0]}")
     def test_a_cycle_that_fits_the_memo_is_solved_once(self, solves, copies):

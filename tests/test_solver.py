@@ -11,7 +11,6 @@ from fairalloc import (
     ExponentialDecay,
     LogUtility,
     NoRootError,
-    Scenario,
     SigmoidUtility,
     SolverConfig,
     canonical_scenario,
@@ -22,6 +21,7 @@ from fairalloc import (
 )
 from fairalloc.solver import BRACKET_HI, HI_CAP, PROBE_STEP, REL_TOL
 from mp_roots import mp_rate, mp_root_between
+from populations import seeded_scenario
 
 
 def plain_bisection(u, price, config):
@@ -136,23 +136,9 @@ def slope_evaluations(solve, u, price, config):
     return len(calls)
 
 
-def crowd_scenario(n_users=200, seed=1):
-    """A seeded mixed population: sigmoid users a ~ U[0.5, 5], b ~ U[5, 30], log users k log-uniform on [0.5, 15]."""
-    rng = np.random.default_rng(seed)
-    users = []
-    for i in range(n_users):
-        if i % 2 == 0:
-            u = SigmoidUtility(a=float(rng.uniform(0.5, 5.0)), b=float(rng.uniform(5.0, 30.0)))
-        else:
-            u = LogUtility(k=float(np.exp(rng.uniform(math.log(0.5), math.log(15.0)))), r_max=100.0)
-        users.append((f"u{i}", u))
-    sum_b = math.fsum(u.b for _, u in users if isinstance(u, SigmoidUtility))
-    return Scenario("crowd", tuple(users), tuple(f * sum_b for f in (0.9, 1.5, 3.0)))
-
-
 SWEEPS = {
     "canonical": canonical_scenario,
-    "crowd": crowd_scenario,
+    "crowd": lambda: seeded_scenario("crowd", np.random.default_rng(1), 200, (0.9, 1.5, 3.0)),
     # a slice of the damped sweep over R = 2..120, whose prices creep slowly
     "damped": lambda: canonical_scenario(
         r_values=tuple(float(r) for r in range(2, 121, 13)),

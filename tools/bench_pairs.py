@@ -2,16 +2,21 @@
 
 Usage: python3 tools/bench_pairs.py --base <git-ref or dir> --workload W --pairs 10 --seconds S
 
-A base that names a directory is used in place; any other base is a git
-ref, exported with ``git archive`` into a temporary directory, which is
-removed at the end. Pair i runs ``bench/run.py --trace 0 --seed i`` once
-in each tree, the base first in odd pairs and this checkout first in
-even ones. For every end-to-end metric in BENCHMARK.json it prints each
-side's median and quartiles, the pairs the change won by the metric's
-``better`` direction (ties count for neither side), whether the change's
-median is worse than the base's by more than the metric's bound, and
-whether the gain rule holds: the change wins at least nine tenths of the
-pairs and the medians differ by more than the base's interquartile range.
+Both sides run from fresh trees in a temporary directory, which is
+removed at the end: this checkout and a base that names a directory are
+copied there without their bytecode caches, and any other base is a git
+ref, exported with ``git archive``. Every run, its workers included, has
+PYTHONDONTWRITEBYTECODE=1, so each compiles its tree's modules afresh
+and neither side reads bytecode left by an earlier edit; the stdlib and
+numpy load from their installed bytecode on both sides. Pair i runs
+``bench/run.py --trace 0 --seed i`` once in each tree, the base first in
+odd pairs and this checkout first in even ones. For every end-to-end
+metric in BENCHMARK.json it prints each side's median and quartiles, the
+pairs the change won by the metric's ``better`` direction (ties count
+for neither side), whether the change's median is worse than the base's
+by more than the metric's bound, and whether the gain rule holds: the
+change wins at least nine tenths of the pairs and the medians differ by
+more than the base's interquartile range.
 Exits 1 if any run fails or reports a failed check.
 """
 
@@ -20,6 +25,8 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -28,6 +35,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+UNCOPIED = shutil.ignore_patterns(".git", "__pycache__", ".bench_tmp")
 
 
 def export(ref: str, dest: Path) -> None:
@@ -38,19 +46,21 @@ def export(ref: str, dest: Path) -> None:
         archive.extractall(dest, filter="data")
 
 
-def checkout(base: str, tmp: Path) -> Path:
-    """The tree of ``base``: the directory itself if it is one, else the git ref exported into ``tmp``."""
-    if Path(base).is_dir():
-        return Path(base).resolve()
-    export(base, tmp)
-    return tmp
+def checkout(tree: str, dest: Path) -> Path:
+    """Write ``tree`` into ``dest``: a directory is copied without its caches, any other tree is a git ref."""
+    if Path(tree).is_dir():
+        shutil.copytree(tree, dest, ignore=UNCOPIED)
+    else:
+        export(tree, dest)
+    return dest
 
 
 def bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     """Run the benchmark once in ``tree`` and return its result object."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", repr(seconds), "--trace", "0"]
-    done = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    done = subprocess.run(cmd, cwd=tree, env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
+                          capture_output=True, text=True)
     lines = done.stdout.strip().splitlines()
     if done.returncode != 0 or not lines:
         raise RuntimeError(f"{tree}: {' '.join(cmd)} exited {done.returncode}\n{done.stderr}")
@@ -91,7 +101,7 @@ def main(argv=None) -> int:
     runs = {"base": [], "change": []}
     with tempfile.TemporaryDirectory() as tmp:
         try:
-            trees = {"base": checkout(args.base, Path(tmp)), "change": ROOT}
+            trees = {side: checkout(tree, Path(tmp, side)) for side, tree in (("base", args.base), ("change", ROOT))}
         except subprocess.CalledProcessError as exc:
             print(f"error: git archive {args.base} failed: {exc.stderr.decode().strip()}", file=sys.stderr)
             return 1
