@@ -9,20 +9,21 @@ unique root of
 found here from a certified estimate or, failing that, by bisection,
 which is deterministic and keeps its bracket whatever the curve's shape.
 
-Each utility gives a cheap estimate of the root (``estimate_rate``),
-and the solver first evaluates the log-slope at one pair of probes,
-``PROBE_STEP`` either side of it. Since the rounded log-slope never
-increases from one double to the next (the tests check this for both
-families), a slope >= p at the lower probe and < p at the upper one
-certifies that the root lies between them. That bracket is narrower
-than ``REL_TOL``, so when the probes lie inside ``(bracket_lo, HI_CAP]``
-and certify it, its midpoint is the answer, after two evaluations: the
+Each utility's ``certified_rate(price, bracket_lo)`` makes the first
+try in one call: it estimates the root, evaluates the log-slope at one
+pair of probes, ``PROBE_STEP`` either side of it, and returns their
+midpoint when they lie inside ``(bracket_lo, HI_CAP]`` and certify the
+root between them. Since the rounded log-slope never increases from one
+double to the next (the tests check this for both families), a slope
+>= p at the lower probe and < p at the upper one certifies that the root
+lies between them. That bracket is narrower than ``REL_TOL``, so the
 estimate sets the returned double, to within the tolerance.
 
-Any other estimate (nan, infinite, outside the window or off by more
-than ``PROBE_STEP``) costs the probes and nothing else: the solve then
-runs plain bisection from ``[bracket_lo, BRACKET_HI]``, whose result
-depends on the utility, the price and ``bracket_lo`` alone.
+Any other estimate (infinite, outside the window or off by more than
+``PROBE_STEP``) makes ``certified_rate`` return None, having cost at most
+the probes: the solve then runs plain bisection from
+``[bracket_lo, BRACKET_HI]``, whose result depends on the utility, the
+price and ``bracket_lo`` alone.
 
 Boundary handling in that bisection:
 
@@ -53,16 +54,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .utility import UtilityFunction, positive_finite
+# HI_CAP also caps the bisection; PROBE_STEP is re-exported with the solve's other constants
+from .utility import HI_CAP, PROBE_STEP, UtilityFunction, positive_finite  # noqa: F401
 
 __all__ = ["SolverConfig", "NoRootError", "solve_user_rate", "grid_oracle"]
 
 
 BRACKET_HI = 1e3  # first upper bracket of the fallback bisection, doubled while the root lies above it
-HI_CAP = 1e9  # largest rate a probe may certify or the upper bracket grow to
 REL_TOL = 1e-10  # bracket width, relative to its midpoint, at which bisection stops
-PROBE_STEP = 1e-12  # relative distance of each probe from the estimated root
-_PROBE_LO, _PROBE_HI = 1.0 - PROBE_STEP, 1.0 + PROBE_STEP  # the probes' factors, computed once
 
 
 class NoRootError(RuntimeError):
@@ -85,11 +84,11 @@ _DEFAULT = SolverConfig()
 def solve_user_rate(u: UtilityFunction, price: float, config: SolverConfig = _DEFAULT) -> float:
     """Rate maximizing log U(r) - price*r: a certified estimate, or plain bisection on the log-slope.
 
-    When the probes around ``u.estimate_rate(price)`` lie inside
-    ``(bracket_lo, HI_CAP]`` and certify the root between them, returns
-    their midpoint. Otherwise bisects from ``[bracket_lo, BRACKET_HI]``,
-    keeping the invariant log_slope(lo) >= price >= log_slope(hi), until
-    the bracket width falls below REL_TOL of its midpoint. Pinned rates
+    Returns ``u.certified_rate(price, bracket_lo)`` when the probes
+    around the utility's estimate certify the root. Otherwise bisects
+    from ``[bracket_lo, BRACKET_HI]``, keeping the invariant
+    log_slope(lo) >= price >= log_slope(hi), until the bracket width
+    falls below REL_TOL of its midpoint. Pinned rates
     (``bracket_lo`` exactly) and NoRootError come from that bisection
     only. Identical inputs give bit-identical results, for any positive
     ``a``, ``k`` and ``bracket_lo``.
@@ -98,10 +97,9 @@ def solve_user_rate(u: UtilityFunction, price: float, config: SolverConfig = _DE
     if price <= 0.0 or not math.isfinite(price):
         raise ValueError(f"price must be positive and finite, got {price}")
     lo = config.bracket_lo
-    guess = u.estimate_rate(price)
-    x, y = guess * _PROBE_LO, guess * _PROBE_HI
-    if lo < x < y <= HI_CAP and u.log_slope(x) >= price > u.log_slope(y):
-        return 0.5 * (x + y)
+    rate = u.certified_rate(price, lo)
+    if rate is not None:
+        return rate
     if u.log_slope(lo) < price:
         return lo  # pinned: even the smallest tradable rate is too expensive
     hi = BRACKET_HI

@@ -27,15 +27,21 @@ which is then the slope correctly rounded.
 
 All objects are immutable, and each method has one implementation,
 free of overflow for any parameters. Every method is scalar ``math``
-code that takes one float. ``log_slope`` is the solver's inner loop; its
-rounded value never increases from one double to the next, which the
-solver relies on to certify the root between two probes.
-``estimate_rate(price)`` is a cheap estimate of the rate where
-``log_slope`` equals ``price``, closed form for a sigmoid and at most
-six Newton steps for a log curve. It may be inf. When the solver's probes
-either side of it certify the root, the solver returns it to within
-``REL_TOL``, so the estimate sets the returned double; a poor estimate
-costs its two probes, and the solver falls back to plain bisection.
+code. ``log_slope`` is the solver's fallback loop; its rounded value
+never increases from one double to the next, which is what lets two
+probes certify the root between them.
+``certified_rate(price, lo)`` is the solver's first try, in one call. It
+estimates the rate where ``log_slope`` equals ``price`` (closed form for a
+sigmoid, at most six Newton steps for a log curve; the estimate may be
+inf), probes the log-slope ``PROBE_STEP`` either side of it, and returns
+the probes' midpoint when both lie in ``(lo, HI_CAP]``, the slope is
+>= ``price`` at the lower one and < ``price`` at the upper one. That
+bracket is narrower than the solver's tolerance, so the estimate sets the
+returned double. Otherwise it returns None: a poor estimate costs its two
+probes, and the solver falls back to plain bisection. The probes evaluate
+each family's main log-slope line inline, the same expression as
+``log_slope``; a probe below ``_TINY`` or past a sigmoid's far switch
+sends both through ``log_slope``.
 """
 
 from __future__ import annotations
@@ -48,8 +54,11 @@ from dataclasses import dataclass, field
 __all__ = ["SigmoidUtility", "LogUtility", "UtilityFunction", "sigmoid_from_qoe"]
 
 _EXP_MAX = 709.0  # exp overflows just past this in double precision
-_NEWTON_STEPS = 6  # at most this many: enough for full precision from LogUtility.estimate_rate's starts
+_NEWTON_STEPS = 6  # at most this many: enough for full precision from LogUtility's Newton starts
 _TINY = sys.float_info.min  # below this a*r or k*r loses bits: log_slope returns its 1/r limit
+HI_CAP = 1e9  # largest rate a probe may certify or the solver's upper bracket grow to
+PROBE_STEP = 1e-12  # relative distance of each probe from the estimated root
+_PROBE_LO, _PROBE_HI = 1.0 - PROBE_STEP, 1.0 + PROBE_STEP  # the probes' factors, computed once
 
 
 def _real(name: str, value) -> None:
@@ -151,18 +160,30 @@ class SigmoidUtility:
     # cancellation; for q > 0 in log form, log w = log((q + s)/2) + ab,
     # since w = e^(ar) - 1 overflows for a root far past the inflection.
 
-    def estimate_rate(self, price: float) -> float:
-        """Closed-form rate where ``log_slope`` equals ``price`` > 0, exact up to rounding; may be inf."""
+    def certified_rate(self, price: float, lo: float) -> float | None:
+        """Midpoint of probes certifying the root of ``log_slope`` = ``price`` around its closed form, or None."""
         t = self._t
         c = self._num / price
         q = c - 1.0 - t
         s = math.hypot(q, 2.0 * math.sqrt(t * c))
         if q > 0.0:
             log_w = math.log(0.5 * (q + s)) + self._ab
-            return (log_w + math.log1p(math.exp(-log_w))) / self.a
-        if s == q:  # t underflowed to 0 and price == a exactly: the root is unbounded
-            return math.inf
-        return math.log1p(2.0 * c / (s - q)) / self.a
+            guess = (log_w + math.log1p(math.exp(-log_w))) / self.a
+        elif s == q:  # t underflowed to 0 and price == a exactly: the root is unbounded
+            return None
+        else:
+            guess = math.log1p(2.0 * c / (s - q)) / self.a
+        x, y = guess * _PROBE_LO, guess * _PROBE_HI
+        if not lo < x < y <= HI_CAP:
+            return None
+        ax, ay = self.a * x, self.a * y
+        if _TINY <= ax and ay <= self._switch:
+            num = self._num
+            certified = (num / (t * math.expm1(ax) - math.expm1(-ax)) >= price
+                         > num / (t * math.expm1(ay) - math.expm1(-ay)))
+        else:
+            certified = self.log_slope(x) >= price > self.log_slope(y)
+        return 0.5 * (x + y) if certified else None
 
 
 @dataclass(frozen=True)
@@ -180,7 +201,7 @@ class LogUtility:
             raise ValueError(f"k * r_max must be positive and finite, got k={self.k}, r_max={self.r_max}")
         # the log1p ``value`` uses, so that U(r_max) is exactly 1
         object.__setattr__(self, "_denom", math.log1p(kr_max))
-        object.__setattr__(self, "_log_k", math.log(self.k))  # estimate_rate's log(k), computed once
+        object.__setattr__(self, "_log_k", math.log(self.k))  # the Newton estimate's log(k), computed once
 
     def value(self, rate: float) -> float:
         """Satisfaction at ``rate`` >= 0; exactly 0 at rate 0 and exactly 1 at r_max."""
@@ -206,8 +227,8 @@ class LogUtility:
     # would give too, and otherwise after _NEWTON_STEPS steps: in rounding
     # some estimates end alternating between two neighbouring doubles.
 
-    def estimate_rate(self, price: float) -> float:
-        """Rate where ``log_slope`` equals ``price`` > 0, to within rounding; may be inf."""
+    def certified_rate(self, price: float, lo: float) -> float | None:
+        """Midpoint of probes certifying the root of ``log_slope`` = ``price`` around its Newton estimate, or None."""
         target = self._log_k - math.log(price)
         v = math.log(target) if target >= 1.0 else target
         w = math.exp(v)
@@ -217,7 +238,19 @@ class LogUtility:
                 break
             v = step
             w = math.exp(v)
-        return math.expm1(w) / self.k if w <= _EXP_MAX else math.inf
+        if w > _EXP_MAX:  # the estimate is inf
+            return None
+        k = self.k
+        guess = math.expm1(w) / k
+        x, y = guess * _PROBE_LO, guess * _PROBE_HI
+        if not lo < x < y <= HI_CAP:
+            return None
+        kx, ky = k * x, k * y
+        if kx >= _TINY:
+            certified = k / ((1.0 + kx) * math.log1p(kx)) >= price > k / ((1.0 + ky) * math.log1p(ky))
+        else:
+            certified = self.log_slope(x) >= price > self.log_slope(y)
+        return 0.5 * (x + y) if certified else None
 
 
 UtilityFunction = SigmoidUtility | LogUtility

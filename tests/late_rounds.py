@@ -83,8 +83,13 @@ def equilibrium_price(sc, total_rate: float) -> float:
 
     D is strictly decreasing, so p* is the only fixed point of the undamped
     map F(p) = p*D(p)/R; it is found here without running the bidding loop.
+    Raises ValueError when D(1e-8) > R > D(1e3) fails, since the bracket
+    then does not enclose p*.
     """
-    lo, hi = math.log(1e-8), math.log(1e3)
+    lo, hi = 1e-8, 1e3
+    if not demand(sc, lo) > total_rate > demand(sc, hi):
+        raise ValueError(f"[{lo}, {hi}] does not enclose the equilibrium price at R = {total_rate}")
+    lo, hi = math.log(lo), math.log(hi)
     for _ in range(80):
         mid = 0.5 * (lo + hi)
         if demand(sc, math.exp(mid)) > total_rate:

@@ -30,7 +30,6 @@ from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
-import pytest
 
 from fairalloc import (
     ExponentialDecay,

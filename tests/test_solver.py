@@ -19,7 +19,8 @@ from fairalloc import (
     run_sweep,
     solve_user_rate,
 )
-from fairalloc.solver import BRACKET_HI, HI_CAP, PROBE_STEP, REL_TOL
+from estimates import probed_midpoint
+from fairalloc.solver import BRACKET_HI, HI_CAP, REL_TOL
 from mp_roots import mp_rate, mp_root_between
 from populations import seeded_scenario
 
@@ -62,10 +63,8 @@ ULPS = 4 * sys.float_info.epsilon  # rounding slack, relative, on a rate or a lo
 
 
 def certified(u, price, config):
-    """Whether the probes around ``u.estimate_rate(price)`` lie in the window and certify the root between them."""
-    guess = u.estimate_rate(price)
-    x, y = guess * (1.0 - PROBE_STEP), guess * (1.0 + PROBE_STEP)
-    return config.bracket_lo < x < y <= HI_CAP and u.log_slope(x) >= price > u.log_slope(y)
+    """Whether the probes around the utility's estimate lie in the window and certify the root between them."""
+    return u.certified_rate(price, config.bracket_lo) is not None
 
 
 def assert_solves(u, price, config):
@@ -112,14 +111,26 @@ configs = st.one_of(st.just(SolverConfig()), log_uniform(1e-300, 10.0).map(lambd
 
 
 def count_slope_calls(monkeypatch):
-    """A list that grows by one entry per log_slope call, on either utility class."""
+    """A list that grows by one entry per log-slope evaluation, on either utility class.
+
+    A ``log_slope`` call is one; a ``certified_rate`` call is its probe
+    pair, two, however many of its probes it evaluated and whether inline
+    or through ``log_slope``.
+    """
     calls = []
     for cls in (SigmoidUtility, LogUtility):
         def counted(self, rate, original=cls.log_slope):
             calls.append(rate)
             return original(self, rate)
 
+        def probed(self, price, lo, original=cls.certified_rate):
+            start = len(calls)
+            rate = original(self, price, lo)
+            calls[start:] = (price, price)
+            return rate
+
         monkeypatch.setattr(cls, "log_slope", counted)
+        monkeypatch.setattr(cls, "certified_rate", probed)
     return calls
 
 
@@ -246,15 +257,16 @@ class TestSolveUserRate:
     def test_a_missed_estimate_doubles_to_the_cap(self, monkeypatch, root):
         # without a certificate the bracket doubles from BRACKET_HI, and it
         # overshoots HI_CAP after 5.24e8: the last doubling must stop at the
-        # cap instead of giving up below it, exactly as plain bisection does
-        monkeypatch.setattr(LogUtility, "estimate_rate", lambda self, price: math.nan)
+        # cap instead of giving up below it, exactly as plain bisection does,
+        # after the probe pair
+        monkeypatch.setattr(LogUtility, "certified_rate", lambda self, price, lo: None)
         u = LogUtility(k=0.5, r_max=100.0)
         price, config = u.log_slope(root), SolverConfig()
         rate = solve_user_rate(u, price, config)
         assert rate == plain_bisection(u, price, config)
         assert rate == pytest.approx(root, rel=1e-9, abs=0)
         solve, plain = (slope_evaluations(f, u, price, config) for f in (solve_user_rate, plain_bisection))
-        assert solve == plain
+        assert solve == plain + 2
 
     def test_no_root_beyond_cap(self):
         u = LogUtility(k=0.5, r_max=100.0)
@@ -357,20 +369,26 @@ class TestSkippedEvaluations:
     @settings(max_examples=300, deadline=None)
     def test_a_certified_estimate_is_the_answer(self, case, config):
         # probes below HI_CAP that certify the root leave a bracket
-        # narrower than REL_TOL: its midpoint is returned at once
+        # narrower than REL_TOL: its midpoint is returned at once, with no
+        # evaluation past the probe pair (that the midpoint is the estimate's
+        # is TestCertifiedRate's reference-form check)
         u, price = case
-        guess = u.estimate_rate(price)
-        assume(certified(u, price, config))
+        expected = u.certified_rate(price, config.bracket_lo)
+        assume(expected is not None)
         with pytest.MonkeyPatch.context() as mp:
             calls = count_slope_calls(mp)
             rate = solve_user_rate(u, price, config)
         assert len(calls) == 2
-        assert abs(rate - guess) <= 2.0 * PROBE_STEP * guess
+        assert rate == expected
 
     @pytest.mark.parametrize("estimate", [math.nan, math.inf, -1.0, 0.0, 1e-300, 3.0, 1e8])
     def test_a_useless_estimate_falls_back_to_bisection(self, monkeypatch, table_utilities, estimate):
-        monkeypatch.setattr(SigmoidUtility, "estimate_rate", lambda self, price: estimate)
-        monkeypatch.setattr(LogUtility, "estimate_rate", lambda self, price: estimate)
+        # certified_rate is the reference form (TestCertifiedRate), here around a useless estimate
+        def probed(self, price, lo):
+            return probed_midpoint(self, price, lo, estimate)
+
+        for cls in (SigmoidUtility, LogUtility):
+            monkeypatch.setattr(cls, "certified_rate", probed)
         config = SolverConfig(bracket_lo=1e-12)
         for u in table_utilities.values():
             for price in (1e-4, 0.05, 0.3, 2.0, 1e3):
@@ -386,7 +404,7 @@ class TestSkippedEvaluations:
         # no finite price has a root much below these: every log-slope there
         # exceeds the largest double, so from a subnormal bracket_lo the
         # bracket still narrows to REL_TOL of its midpoint
-        monkeypatch.setattr(type(u), "estimate_rate", lambda self, price: math.nan)
+        monkeypatch.setattr(type(u), "certified_rate", lambda self, price, lo: None)
         price = sys.float_info.max
         rate = solve_user_rate(u, price, SolverConfig(bracket_lo=5e-324))
         assert rate == pytest.approx(root, rel=1e-4, abs=0)
@@ -394,7 +412,8 @@ class TestSkippedEvaluations:
 
     def test_few_evaluations_per_solve(self, sweep_traffic):
         # plain bisection takes about 44 per solve on these populations; a
-        # certified estimate takes 2, and only a miss adds bisection's
+        # certified estimate takes 2 (its probe pair), and only a miss adds
+        # bisection's
         solves, evaluations = sweep_traffic
         assert evaluations <= 3 * len(solves)
 

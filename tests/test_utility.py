@@ -7,7 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from estimates import full_newton_iterates, per_call_sigmoid_estimate, probe_pair, probed_midpoint, reference_estimate
 from fairalloc import LogUtility, SigmoidUtility, sigmoid_from_qoe
+from fairalloc.solver import HI_CAP
 
 TINY = sys.float_info.min  # smallest normal double
 
@@ -155,13 +157,19 @@ class TestLogSlope:
 
 
 class TestEstimateRate:
+    """Each family's estimate of the root, as ``certified_rate`` returns it."""
+
     def test_brackets_the_rounded_root(self, table_utilities):
-        # on the flat stretch the rounded slope ties across the bracket, which >= allows
+        # the probes certify every root off a sigmoid's flat stretch; on it
+        # the rounded slope ties across the probes, and the estimate still
+        # brackets the rounded root to 1e-9, which >= allows
         for name, u in table_utilities.items():
             for r in np.geomspace(1e-2, 500.0, 60):
                 price = u.log_slope(float(r))
                 if price > 0.0:
-                    e = u.estimate_rate(price)
+                    rate = u.certified_rate(price, 1e-12)
+                    assert rate is not None or abs(price - u.a * u.c) <= 1e-4 * price, (name, r)
+                    e = reference_estimate(u, price) if rate is None else rate
                     assert u.log_slope(e * (1.0 - 1e-9)) >= price >= u.log_slope(e * (1.0 + 1e-9)), (name, r)
 
     @pytest.mark.parametrize(
@@ -176,17 +184,10 @@ class TestEstimateRate:
         ],
     )
     def test_extreme_prices_give_a_number_not_an_error(self, u, price, expected):
-        assert u.estimate_rate(price) == pytest.approx(expected, rel=1e-12, abs=0)
-
-
-def full_newton_iterates(u, price):
-    """Every iterate v of a log curve's estimate, running all six Newton steps and taking log(k) per call."""
-    target = math.log(u.k) - math.log(price)
-    iterates = [math.log(target) if target >= 1.0 else target]
-    for _ in range(6):
-        e = math.exp(iterates[-1])
-        iterates.append(iterates[-1] - (e + iterates[-1] - target) / (e + 1.0))
-    return iterates
+        # an infinite estimate fails the window: None, not an overflow
+        assert reference_estimate(u, price) == pytest.approx(expected, rel=1e-12, abs=0)
+        rate = u.certified_rate(price, 5e-324)
+        assert rate is None if expected == math.inf else rate == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 def per_call_sigmoid_log_slope(u, rate):
@@ -202,20 +203,6 @@ def per_call_sigmoid_log_slope(u, rate):
     return u.a * (1.0 + u._t) / denom
 
 
-def per_call_sigmoid_estimate(u, price):
-    """``SigmoidUtility.estimate_rate`` with its numerator a(1 + t) formed on every call."""
-    t = u._t
-    c = u.a * (1.0 + t) / price
-    q = c - 1.0 - t
-    s = math.hypot(q, 2.0 * math.sqrt(t * c))
-    if q > 0.0:
-        log_w = math.log(0.5 * (q + s)) + u._ab
-        return (log_w + math.log1p(math.exp(-log_w))) / u.a
-    if s == q:
-        return math.inf
-    return math.log1p(2.0 * c / (s - q)) / u.a
-
-
 class TestPrecomputedForms:
     """Each method returns the same double as the form that recomputes everything on every call."""
 
@@ -229,8 +216,9 @@ class TestPrecomputedForms:
             u = LogUtility(k=math.exp(rng.uniform(math.log(1e-3), math.log(1e3))), r_max=100.0)
             price = u.log_slope(math.exp(rng.uniform(math.log(1e-3), math.log(1e4))))
             v = full_newton_iterates(u, price)
-            w = math.exp(v[-1])
-            assert u.estimate_rate(price) == (math.expm1(w) / u.k if w <= 709.0 else math.inf), (u, price)
+            rate = u.certified_rate(price, 1e-12)
+            assert rate is not None, (u, price)
+            assert rate == probed_midpoint(u, price, 1e-12, reference_estimate(u, price)), (u, price)
             early += any(a == b for a, b in zip(v, v[1:]))
             alternating += v[-1] == v[-3] != v[-2]
         assert early > 0 and alternating > 0, (early, alternating)
@@ -246,7 +234,96 @@ class TestPrecomputedForms:
                 price = per_call_sigmoid_log_slope(u, rate)
                 assert u.log_slope(rate) == price, (u, rate)
                 if price > 0.0:
-                    assert u.estimate_rate(price) == per_call_sigmoid_estimate(u, price), (u, price)
+                    guess = per_call_sigmoid_estimate(u, price)
+                    assert u.certified_rate(price, 1e-12) == probed_midpoint(u, price, 1e-12, guess), (u, price)
+
+
+def log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda x: 10.0**x)
+
+
+def sigmoid_priced(a, ab, ar, lo_factor=(1e-6, 0.5)):
+    """A sigmoid, priced at its log-slope at a root r, and a bracket_lo of r times a factor.
+
+    Steepness a, the product a*b and a*r are drawn log-uniform from the
+    ranges ``a``, ``ab`` and ``ar``, the factor from ``lo_factor``.
+    """
+    def build(a, ab, ar, factor):
+        u = SigmoidUtility(a=a, b=ab / a)
+        return u, u.log_slope(ar / a), ar / a * factor
+
+    return st.builds(build, log_uniform(*a), log_uniform(*ab), log_uniform(*ar), log_uniform(*lo_factor))
+
+
+def log_priced(k, r, lo_factor=(1e-6, 0.5)):
+    """A log curve (r_max 1/k), priced at its log-slope at a root r, and a bracket_lo of r times a factor."""
+    def build(k, r, factor):
+        u = LogUtility(k=k, r_max=1.0 / k)
+        return u, u.log_slope(r), r * factor
+
+    return st.builds(build, log_uniform(*k), log_uniform(*r), log_uniform(*lo_factor))
+
+
+# Each branch of certified_rate: the cases that reach it, and the test
+# the probes x, y of the reference estimate pass there.
+BRANCHES = {
+    "sigmoid-below-tiny": (
+        sigmoid_priced(a=(1e-15, 1e-12), ab=(1e-3, 10.0), ar=(1e-318, 1e-312)),
+        lambda u, lo, x, y: lo < x < y <= HI_CAP and u.a * x < TINY,
+    ),
+    "sigmoid-main": (
+        sigmoid_priced(a=(1e-3, 1e2), ab=(1e-3, 700.0), ar=(1e-6, 700.0)),
+        lambda u, lo, x, y: lo < x < y <= HI_CAP and TINY <= u.a * x and u.a * y <= u._switch,
+    ),
+    "sigmoid-far-past-700": (
+        sigmoid_priced(a=(1e-3, 1e2), ab=(600.0, 708.0), ar=(701.0, 745.0)),
+        lambda u, lo, x, y: lo < x < y <= HI_CAP and u._switch == 700.0 < u.a * y,
+    ),
+    "sigmoid-far-past-38": (  # a*b > 708.4: e^(-ab) is subnormal and the switch moves to 38
+        sigmoid_priced(a=(1e-3, 1e2), ab=(709.0, 1e3), ar=(1e3, 1040.0)),
+        lambda u, lo, x, y: lo < x < y <= HI_CAP and u._switch == 38.0 < u.a * y,
+    ),
+    "log-below-tiny": (
+        log_priced(k=(1e-15, 1e-10), r=(1e-306, 1e-300)),
+        lambda u, lo, x, y: lo < x < y <= HI_CAP and u.k * x < TINY,
+    ),
+    "log-main": (
+        log_priced(k=(1e-4, 1e4), r=(1e-6, 1e8)),
+        lambda u, lo, x, y: lo < x < y <= HI_CAP and TINY <= u.k * x,
+    ),
+    "infinite-estimate": (  # test_extreme_prices_give_a_number_not_an_error's rows
+        st.tuples(
+            st.sampled_from([(SigmoidUtility(a=1.0, b=800.0), 1.0), (SigmoidUtility(a=1e10, b=1.0), 1e-300),
+                             (LogUtility(k=1e3, r_max=1.0), 5e-324)]),
+            log_uniform(1e-300, 10.0),
+        ).map(lambda case: (*case[0], case[1])),
+        lambda u, lo, x, y: x == math.inf,
+    ),
+    "at-or-below-lo": (
+        st.one_of(sigmoid_priced(a=(1e-3, 1e2), ab=(1e-3, 700.0), ar=(1e-6, 700.0), lo_factor=(1.0, 10.0)),
+                  log_priced(k=(1e-4, 1e4), r=(1e-6, 1e8), lo_factor=(1.0, 10.0))),
+        lambda u, lo, x, y: x <= lo,
+    ),
+    "above-cap": (
+        st.one_of(sigmoid_priced(a=(1e-12, 1e-10), ab=(1.0, 100.0), ar=(1.0, 100.0)),
+                  log_priced(k=(1e-4, 1.0), r=(2e9, 1e12))),
+        lambda u, lo, x, y: HI_CAP < y < math.inf,
+    ),
+}
+
+
+class TestCertifiedRate:
+    @pytest.mark.parametrize("branch", list(BRANCHES))
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_is_the_reference_form_on_every_branch(self, branch, data):
+        # the estimate, the window and the two probes, each written out,
+        # give the same double or None; every drawn case reaches its branch
+        cases, reached = BRANCHES[branch]
+        u, price, lo = data.draw(cases)
+        guess = reference_estimate(u, price)
+        assert reached(u, lo, *probe_pair(guess)), (u, price, lo)
+        assert u.certified_rate(price, lo) == probed_midpoint(u, price, lo, guess), (u, price, lo)
 
 
 class TestQoeFit:
