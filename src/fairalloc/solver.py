@@ -93,8 +93,9 @@ def solve_user_rate(u: UtilityFunction, price: float, config: SolverConfig = _DE
     only. Identical inputs give bit-identical results, for any positive
     ``a``, ``k`` and ``bracket_lo``.
     """
-    # inline rather than positive_finite: this runs once per solve, on the hot path
-    if price <= 0.0 or not math.isfinite(price):
+    # inline rather than positive_finite: this runs once per solve, on the hot path;
+    # one chained comparison, false for nan, zero, negatives and inf alike
+    if not 0.0 < price < math.inf:
         raise ValueError(f"price must be positive and finite, got {price}")
     lo = config.bracket_lo
     rate = u.certified_rate(price, lo)

@@ -32,12 +32,12 @@ never increases from one double to the next, which is what lets two
 probes certify the root between them.
 ``certified_rate(price, lo)`` is the solver's first try, in one call. It
 estimates the rate where ``log_slope`` equals ``price`` (closed form for a
-sigmoid, at most six Newton steps for a log curve; the estimate may be
-inf), probes the log-slope ``PROBE_STEP`` either side of it, and returns
-the probes' midpoint when both lie in ``(lo, HI_CAP]``, the slope is
->= ``price`` at the lower one and < ``price`` at the upper one. That
-bracket is narrower than the solver's tolerance, so the estimate sets the
-returned double. Otherwise it returns None: a poor estimate costs its two
+sigmoid, at most six Newton steps for a log curve, written out rather
+than looped; the estimate may be inf), probes the log-slope
+``PROBE_STEP`` either side of it, and returns the probes' midpoint when
+both lie in ``(lo, HI_CAP]``, the slope is >= ``price`` at the lower one
+and < ``price`` at the upper one. That bracket is narrower than the
+solver's tolerance, so the estimate sets the returned double. Otherwise it returns None: a poor estimate costs its two
 probes, and the solver falls back to plain bisection. The probes evaluate
 each family's main log-slope line inline, the same expression as
 ``log_slope``; a probe below ``_TINY`` or past a sigmoid's far switch
@@ -54,7 +54,7 @@ from dataclasses import dataclass, field
 __all__ = ["SigmoidUtility", "LogUtility", "UtilityFunction", "sigmoid_from_qoe"]
 
 _EXP_MAX = 709.0  # exp overflows just past this in double precision
-_NEWTON_STEPS = 6  # at most this many: enough for full precision from LogUtility's Newton starts
+_NEWTON_STEPS = 6  # _newton_exp's blocks, written out: enough for full precision from LogUtility's starts
 _TINY = sys.float_info.min  # below this a*r or k*r loses bits: log_slope returns its 1/r limit
 HI_CAP = 1e9  # largest rate a probe may certify or the solver's upper bracket grow to
 PROBE_STEP = 1e-12  # relative distance of each probe from the estimated root
@@ -186,6 +186,47 @@ class SigmoidUtility:
         return 0.5 * (x + y) if certified else None
 
 
+def _newton_exp(v: float, target: float) -> float:
+    """e^v at the end of at most six Newton steps on e^v + v = target, starting from ``v``.
+
+    The steps are written out, one identical block each: a loop over them
+    takes about a third longer. A step that leaves v unchanged is a fixed
+    point, where every later step would repeat it, so its e^v is returned
+    at once. Otherwise the sixth step's e^v is returned.
+    """
+    w = math.exp(v)
+    s = v - (w + v - target) / (w + 1.0)
+    if s == v:
+        return w
+    v = s
+    w = math.exp(v)
+    s = v - (w + v - target) / (w + 1.0)
+    if s == v:
+        return w
+    v = s
+    w = math.exp(v)
+    s = v - (w + v - target) / (w + 1.0)
+    if s == v:
+        return w
+    v = s
+    w = math.exp(v)
+    s = v - (w + v - target) / (w + 1.0)
+    if s == v:
+        return w
+    v = s
+    w = math.exp(v)
+    s = v - (w + v - target) / (w + 1.0)
+    if s == v:
+        return w
+    v = s
+    w = math.exp(v)
+    s = v - (w + v - target) / (w + 1.0)
+    if s == v:
+        return w
+    v = s
+    return math.exp(s)
+
+
 @dataclass(frozen=True)
 class LogUtility:
     """Normalized logarithmic satisfaction curve with growth rate ``k``, full satisfaction at ``r_max``."""
@@ -219,25 +260,17 @@ class LogUtility:
         return self.k / ((1.0 + kr) * math.log1p(kr))
 
     # log_slope(r) = p in w = log1p(kr) reads w + log w = log(k/p), solved
-    # by Newton steps on v = log w: f(v) = e^v + v - log(k/p) is convex
-    # and increasing, and both starts (log of the target from 1 up, the
-    # target itself below 1) have f >= 0, so the iterates fall
-    # monotonically onto the root. The loop stops at the first step that
-    # leaves v unchanged, whose e^v is then the answer every later step
-    # would give too, and otherwise after _NEWTON_STEPS steps: in rounding
+    # by _newton_exp's steps on v = log w: f(v) = e^v + v - log(k/p) is
+    # convex and increasing, and both starts (log of the target from 1 up,
+    # the target itself below 1) have f >= 0, so the iterates fall
+    # monotonically onto the root. The steps stop at the first one that
+    # leaves v unchanged, and otherwise after _NEWTON_STEPS: in rounding
     # some estimates end alternating between two neighbouring doubles.
 
     def certified_rate(self, price: float, lo: float) -> float | None:
         """Midpoint of probes certifying the root of ``log_slope`` = ``price`` around its Newton estimate, or None."""
         target = self._log_k - math.log(price)
-        v = math.log(target) if target >= 1.0 else target
-        w = math.exp(v)
-        for _ in range(_NEWTON_STEPS):
-            step = v - (w + v - target) / (w + 1.0)
-            if step == v:  # a fixed point: every later step would repeat this one
-                break
-            v = step
-            w = math.exp(v)
+        w = _newton_exp(math.log(target) if target >= 1.0 else target, target)
         if w > _EXP_MAX:  # the estimate is inf
             return None
         k = self.k

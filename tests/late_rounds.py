@@ -11,7 +11,10 @@ undamped loop written out with every round solved and move-tested, the
 reference that ``run_allocation``'s memo of its last rounds by price, and
 its replay of a cycle once a price repeats, must reproduce record for
 record; the figures of its orbits that depend on how the price is rounded
-are computed from it, not copied.
+are computed from it, not copied. ``damped_rounds`` is the loop under a
+decay policy written out the same way, the reference for
+``run_allocation``'s damped rounds: every round solved, each bid's move
+cut to the envelope, and the move measured on the cut bid.
 """
 
 import math
@@ -27,6 +30,36 @@ def plain_rounds(utilities, total_rate: float, config) -> tuple[list, str]:
         price = sum(bids) / total_rate
         rates = tuple(solve_user_rate(u, price, config.solver) for u in utilities)
         new_bids = tuple(price * r for r in rates)
+        rounds.append(IterationRecord(n, price, new_bids, rates))
+        moved = max(abs(w - w_prev) for w, w_prev in zip(new_bids, bids))
+        bids = new_bids
+        if moved <= config.delta:
+            return rounds, CONVERGED
+    return rounds, ITERATION_CAP
+
+
+def damped_rounds(utilities, total_rate: float, config) -> tuple[list, str]:
+    """Every round of the loop under ``config.decay`` as an ``IterationRecord``, computed one by one, and the status.
+
+    A target bid p*r more than dw(n) above the previous bid is cut to the
+    previous bid plus dw(n), and one more than dw(n) below it to the
+    previous bid minus dw(n).
+    """
+    bids = (config.initial_bid,) * len(utilities)
+    rounds = []
+    for n in range(1, config.max_iter + 1):
+        price = sum(bids) / total_rate
+        rates = tuple(solve_user_rate(u, price, config.solver) for u in utilities)
+        limit = config.decay.step_limit(n)
+        new_bids = []
+        for r, w_prev in zip(rates, bids):
+            w = price * r
+            if w - w_prev > limit:
+                w = w_prev + limit
+            elif w - w_prev < -limit:
+                w = w_prev - limit
+            new_bids.append(w)
+        new_bids = tuple(new_bids)
         rounds.append(IterationRecord(n, price, new_bids, rates))
         moved = max(abs(w - w_prev) for w, w_prev in zip(new_bids, bids))
         bids = new_bids

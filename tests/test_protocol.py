@@ -17,7 +17,7 @@ from fairalloc import (
     protocol,
     run_allocation,
 )
-from late_rounds import first_repeat, plain_rounds, price_period
+from late_rounds import damped_rounds, first_repeat, plain_rounds, price_period
 from mp_roots import mp_equilibrium
 
 
@@ -119,6 +119,25 @@ class TestDecayEnvelope:
         assert max_move(targets, (10.0,) * 6) < 18.0  # under both envelopes at n=1
         for decay in (ExponentialDecay(l1=20.0, l2=10.0), RationalDecay(l3=20.0)):
             assert first_round(users, 60.0, decay=decay).bids == targets
+
+    @pytest.mark.parametrize("decay, r_values, statuses", [
+        (ExponentialDecay(l1=5.0, l2=10.0), range(2, 121), {CONVERGED}),
+        (RationalDecay(l3=5.0), [20], {ITERATION_CAP}),
+    ], ids=["exponential-R-2-to-120", "rational-R-20"])
+    def test_runs_are_the_damped_loop_written_out(self, solves, decay, r_values, statuses):
+        # record for record and in status, every round solved, with bids
+        # cut in many rounds
+        utilities = canonical_scenario().utilities
+        config = AllocationConfig(decay=decay)
+        reached, cut = set(), 0
+        for r in r_values:
+            rounds, status = damped_rounds(utilities, float(r), config)
+            solves.clear()
+            assert streamed(utilities, float(r), config) == (rounds, status, len(rounds)), r
+            assert len(solves) == 6 * len(rounds), r
+            reached.add(status)
+            cut += sum(w != rec.price * x for rec in rounds for w, x in zip(rec.bids, rec.rates))
+        assert reached == statuses and cut > 100
 
     def test_default_constants(self):
         assert (ExponentialDecay(), RationalDecay()) == (ExponentialDecay(l1=5.0, l2=10.0), RationalDecay(l3=5.0))

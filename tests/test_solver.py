@@ -303,10 +303,16 @@ class TestSolveUserRate:
         rate = assert_solves(u, price, config)
         assert rate == pytest.approx(float(mp_rate(u, price, config.bracket_lo)), rel=1e-9, abs=0)
 
-    @pytest.mark.parametrize("price", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("price", [0.0, -0.0, -1.0, math.nan, math.inf, -math.inf])
     def test_rejects_bad_price(self, price):
         with pytest.raises(ValueError, match="price"):
             solve_user_rate(LogUtility(k=3.0, r_max=100.0), price)
+
+    def test_accepts_a_subnormal_price(self):
+        # the smallest positive double passes the price check; a sigmoid's
+        # slope falls that low about 744/a past its inflection
+        rate = assert_solves(SigmoidUtility(a=1.0, b=1.0), 5e-324, SolverConfig())
+        assert 700.0 < rate < 750.0
 
     def test_deterministic(self, table_utilities):
         for u in table_utilities.values():

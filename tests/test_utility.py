@@ -203,11 +203,39 @@ def per_call_sigmoid_log_slope(u, rate):
     return u.a * (1.0 + u._t) / denom
 
 
+def newton_exit(v):
+    """How a log estimate's Newton iterates ``v`` end.
+
+    The count j < 6 of steps taken before one leaves v unchanged,
+    ``"alternation"`` for two doubles in turn, and otherwise 6, the sixth step.
+    """
+    fixed = next((j for j in range(6) if v[j + 1] == v[j]), None)
+    if fixed is not None:
+        return fixed
+    return "alternation" if v[6] == v[4] != v[5] else 6
+
+
+# Log curves, each priced at its log-slope at a rate, by how the estimate's
+# Newton steps end. The first 6 reaches a fixed point that only a seventh
+# step would see; the second is still moving.
+NEWTON_EXITS = [(0, 1e-3, 1e-12), (1, 1e-3, 1e-10), (2, 1e-3, 1.0), (3, 1e-3, 10.0), (4, 1e-3, 200.0),
+                (5, 1e-3, 1e4), (6, 1e-3, 1e3), (6, 1.0, 100.0), ("alternation", 1e-3, 5e6)]
+
+
 class TestPrecomputedForms:
     """Each method returns the same double as the form that recomputes everything on every call."""
 
+    @pytest.mark.parametrize("exit, k, rate", NEWTON_EXITS, ids=lambda x: f"{x:g}" if isinstance(x, float) else str(x))
+    def test_log_estimate_leaves_at_every_step(self, exit, k, rate):
+        u = LogUtility(k=k, r_max=1.0 / k)
+        price = u.log_slope(rate)
+        assert newton_exit(full_newton_iterates(u, price)) == exit
+        certified = u.certified_rate(price, 1e-300)
+        assert certified is not None
+        assert certified == probed_midpoint(u, price, 1e-300, reference_estimate(u, price))
+
     def test_log_estimate_stops_at_its_fixed_point_with_the_same_double(self):
-        # the loop leaves at the first step that keeps v, and every later
+        # the steps leave at the first one that keeps v, and every later
         # step would repeat that one; the rest run all six steps, some of
         # them ending on two neighbouring doubles in turn
         rng = random.Random(2024)

@@ -139,6 +139,11 @@ def cases(populations: dict[str, Path]) -> dict[str, list[str]]:
     }
 
 
+def demo_names() -> list[str]:
+    """The file names of this checkout's demo scripts, sorted."""
+    return sorted(p.name for p in (ROOT / "demos").glob("*.py"))
+
+
 def python(tree: Path, args: list[str], workdir: Path) -> subprocess.CompletedProcess:
     """Run ``python args`` in a new ``workdir`` against the fairalloc package of ``tree``."""
     src = tree / "src"
@@ -224,7 +229,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        (tmp / "base-tree").mkdir()
         (tmp / "inputs").mkdir()
         try:
             trees = {"base": checkout(args.base, tmp / "base-tree"), "change": ROOT}
@@ -233,7 +237,7 @@ def main(argv=None) -> int:
             return 1
         runs = {name: functools.partial(outputs, args=cli_args)
                 for name, cli_args in cases(write_populations(tmp / "inputs")).items()}
-        for demo in sorted(p.name for p in (ROOT / "demos").glob("*.py")):
+        for demo in demo_names():
             runs[f"demo {demo}"] = functools.partial(demo_outputs, name=demo)
         compared = different = 0
         for i, (name, run) in enumerate(runs.items()):
